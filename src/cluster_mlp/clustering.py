@@ -141,6 +141,7 @@ def lloyd(
     history: list[float] = []
     labels = np.zeros(n, dtype=int)
     points_sq = (points * points).sum(axis=1)  # constant across iterations
+    columns = np.ascontiguousarray(points.T)  # bincount copies strided weights
     rows = np.arange(n)
 
     def assign(cents):
@@ -163,7 +164,7 @@ def lloyd(
         history.append(float(point_d2.sum()))
         sums = np.empty_like(centroids)
         for j in range(d):
-            sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=k)
+            sums[:, j] = np.bincount(labels, weights=columns[j], minlength=k)
         new_centroids = sums / counts[:, None]
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids

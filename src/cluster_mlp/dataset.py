@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -65,7 +67,7 @@ class Dataset:
             features=self.features[idx].copy(),
             targets=self.targets[idx].copy(),
             feature_names=self.feature_names,
-            row_ids=tuple(self.row_ids[i] for i in idx),
+            row_ids=tuple(map(self.row_ids.__getitem__, idx.tolist())),
             metadata=dict(self.metadata),
         )
 
@@ -121,10 +123,53 @@ class TargetFn(enum.Enum):
 def load_csv(path, target_column: str, id_column: str | None = None) -> Dataset:
     """Loads a comma-separated file: header row, one named target column,
     optional id column, everything else a feature. Sentinels are kept
-    verbatim; cleaning is a separate step."""
+    verbatim; cleaning is a separate step. Every cell must parse as a
+    finite number; a DataError names the row and column of the first that
+    does not.
+
+    A file of plain numeric cells with no id column is parsed by numpy in
+    one call. Any other file, including every malformed one, is read row by
+    row, so the row reader alone words the errors."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
+    if id_column is None:
+        ds = _load_numeric_csv(path, target_column)
+        if ds is not None:
+            return ds
+    return _load_csv_rows(path, target_column, id_column)
+
+
+def _load_numeric_csv(path: Path, target_column: str) -> Dataset | None:
+    """The whole table through np.loadtxt, or None where the row reader must
+    decide: the header lacks the target or a feature column, the parse fails
+    or warns, there is no data row, the table's width is not the header's,
+    or a cell is not finite."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            header = next(csv.reader(fh))
+            if target_column not in header or len(header) < 2:
+                return None
+            fh.seek(0)
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, delimiter=",", skiprows=1, dtype=float, ndmin=2, comments=None)
+    except (StopIteration, csv.Error, ValueError, UserWarning):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
+        return None
+    t_idx = header.index(target_column)
+    feat_idx = [i for i in range(len(header)) if i != t_idx]
+    return Dataset(
+        features=table.take(feat_idx, axis=1),
+        targets=np.ascontiguousarray(table[:, t_idx]),
+        feature_names=tuple(header[i] for i in feat_idx),
+        row_ids=tuple(map(str, range(table.shape[0]))),
+    )
+
+
+def _load_csv_rows(path: Path, target_column: str, id_column: str | None) -> Dataset:
+    """Row-by-row reader: handles id columns, quoted cells and every number
+    float() accepts, and words every load error."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -155,11 +200,14 @@ def load_csv(path, target_column: str, id_column: str | None = None) -> Dataset:
                 if cell == "":
                     raise DataError(f"{path}: row {lineno}, column {header[i]!r}: empty cell")
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: row {lineno}, column {header[i]!r}: cannot parse {cell!r} as a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {lineno}, column {header[i]!r}: non-finite value {cell!r}")
+                parsed.append(value)
             rows.append(parsed[:-1])
             targets.append(parsed[-1])
             row_ids.append(record[id_idx].strip() if id_idx is not None else str(len(row_ids)))

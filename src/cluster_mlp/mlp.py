@@ -150,22 +150,33 @@ def loss_and_gradient(m: MlpModel, xs: np.ndarray, ys: np.ndarray) -> tuple[floa
     n = xs.shape[0]
     if xs.shape[1] != m.w1.shape[1] or ys.shape[0] != n:
         raise ValueError("dimension mismatch between model and batch")
-    h = np.tanh(xs @ m.w1.T + m.b1)  # (n, k)
-    pred = h @ m.w2 + m.b2
-    resid = pred - ys
+    # In place: one (n, k) buffer holds the pre-activation, then h, then
+    # 1 - h^2, and one (n,) buffer the residual, then d_pred. Each step
+    # rounds as in the plain expressions, d_h = outer(d_pred, w2) * (1 - h**2)
+    # included, so loss and gradient are bit-identical to them.
+    h = xs @ m.w1.T
+    h += m.b1
+    np.tanh(h, out=h)
+    resid = h @ m.w2
+    resid += m.b2
+    resid -= ys
     loss = float(0.5 * np.mean(resid**2))
 
-    d_pred = resid / n  # (n,)
+    d_pred = resid
+    d_pred /= n
     g_w2 = h.T @ d_pred
     g_b2 = float(d_pred.sum())
-    d_h = np.outer(d_pred, m.w2) * (1.0 - h**2)  # (n, k)
+    d_h = np.outer(d_pred, m.w2)
+    np.multiply(h, h, out=h)
+    np.subtract(1.0, h, out=h)
+    d_h *= h
     g_w1 = d_h.T @ xs
     g_b1 = d_h.sum(axis=0)
     grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
     return loss, grad
 
 
-def _cubic_interp(a_lo, f_lo, g_lo, a_hi, f_hi) -> float:
+def _quadratic_interp(a_lo, f_lo, g_lo, a_hi, f_hi) -> float:
     # quadratic interpolation fallback keeps the zoom step simple and safe
     denom = 2.0 * (f_hi - f_lo - g_lo * (a_hi - a_lo))
     if denom == 0.0:
@@ -200,7 +211,7 @@ def _strong_wolfe(
 
     def zoom(a_lo, f_lo, d_lo, a_hi, f_hi, evals) -> tuple[float, float, np.ndarray]:
         for _ in range(max_evals - evals):
-            a = _cubic_interp(a_lo, f_lo, d_lo, a_hi, f_hi)
+            a = _quadratic_interp(a_lo, f_lo, d_lo, a_hi, f_hi)
             f, g, dphi = phi(a)
             if f > f0 + c1 * a * dphi0 or f >= f_lo:
                 a_hi, f_hi = a, f

@@ -61,6 +61,16 @@ class TestCluster:
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["cluster", str(cfg)]) == EXIT_DATA
 
+    def test_non_finite_cell_is_data_error(self, blob_csv, tmp_path, capsys):
+        lines = blob_csv.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "inf"
+        lines[5] = ",".join(cells)
+        blob_csv.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path))
+        assert main(["cluster", str(cfg)]) == EXIT_DATA
+        assert "row 6, column 'f1': non-finite value 'inf'" in capsys.readouterr().err
+
     def test_all_noise_dbscan_is_numerical_error(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path)
         del doc["xmeans"]

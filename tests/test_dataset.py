@@ -11,6 +11,8 @@ from cluster_mlp.dataset import (
     RowPolicy,
     SplitSpec,
     TargetFn,
+    _load_csv_rows,
+    _load_numeric_csv,
     apply_normalization,
     clean_sentinels,
     filter_labeled,
@@ -77,12 +79,74 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="empty cell"):
             load_csv(p, target_column="z")
 
+    def test_non_finite_feature_cell_names_row_and_column(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("a,b,z\n1,2,3\n4,nan,6\n")
+        with pytest.raises(DataError, match="row 3, column 'b': non-finite value 'nan'"):
+            load_csv(p, target_column="z")
+
+    def test_non_finite_target_cell_names_row_and_column(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("id,a,z\ng1,1,1e400\ng2,3,4\n")
+        with pytest.raises(DataError, match="row 2, column 'z': non-finite value '1e400'"):
+            load_csv(p, target_column="z", id_column="id")
+
     def test_id_column(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("id,a,z\ngal1,1,2\ngal2,3,4\n")
         ds = load_csv(p, target_column="z", id_column="id")
         assert ds.row_ids == ("gal1", "gal2")
         assert ds.d == 1
+
+
+def load_outcome(loader, path, id_column):
+    try:
+        ds = loader(path, "z", id_column)
+    except DataError as e:
+        return str(e)
+    return (
+        ds.features.tobytes(),
+        ds.features.shape,
+        ds.features.flags.c_contiguous,
+        ds.targets.tobytes(),
+        ds.targets.flags.c_contiguous,
+        ds.feature_names,
+        ds.row_ids,
+    )
+
+
+class TestLoadCsvPaths:
+    """load_csv hands a file to numpy only where the row reader would
+    return the same Dataset; everything else gets the row reader's error."""
+
+    @pytest.mark.parametrize(
+        "text, id_column, numeric",
+        [
+            ('a,z\n"1.5",2\n3,"4"\n', None, False),  # quoted cells
+            ("a,z\n1_000,2\n3,4\n", None, False),
+            ("id,a,z\ng1,1,2\ng2,3,4\n", "id", False),
+            ("a,z\n1,2\n3,4,5\n", None, False),  # one row with an extra cell
+            ("a,z\n1,2,3\n4,5,6\n", None, False),  # every row with an extra cell
+            ("a,z\n1,2\n   \n3,4\n", None, False),  # whitespace-only line
+            ("a,z\n1,2\n# note\n3,4\n", None, False),
+            ("a,z\r\n1.25,-2\r\n3e-5,4\r\n", None, True),  # CRLF line endings
+            ("a,z\n", None, False),  # header only
+            ("b,z,a\n0.1,-0,7\n", None, True),  # single row, target in the middle
+            ("a,z\n1,2\n\n3,4\n", None, True),  # blank line
+        ],
+    )
+    def test_same_result_as_row_reader(self, tmp_path, text, id_column, numeric):
+        p = tmp_path / "f.csv"
+        p.write_bytes(text.encode())
+        assert (_load_numeric_csv(p, "z") is not None) == numeric
+        assert load_outcome(load_csv, p, id_column) == load_outcome(_load_csv_rows, p, id_column)
+
+    def test_random_floats_same_as_row_reader(self, tmp_path):
+        ds = synth_blobs(3, 40, 4, 10.0, 0.5, seed=2)
+        p = tmp_path / "f.csv"
+        write_csv(ds, p, target_column="z")
+        assert _load_numeric_csv(p, "z") is not None
+        assert load_outcome(load_csv, p, None) == load_outcome(_load_csv_rows, p, None)
 
 
 class TestFilterLabeled:

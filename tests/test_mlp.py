@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cluster_mlp import mlp
 from cluster_mlp.dataset import Dataset, NormalizationParams
 from cluster_mlp.mlp import (
     MlpModel,
@@ -34,6 +35,23 @@ def make_ds(features, targets):
         feature_names=tuple(f"f{i}" for i in range(features.shape[1])),
         row_ids=tuple(str(i) for i in range(features.shape[0])),
     )
+
+
+def plain_loss_and_gradient(m, xs, ys):
+    """The objective as plain out-of-place expressions: the reference that
+    loss_and_gradient must match bit for bit."""
+    n = xs.shape[0]
+    h = np.tanh(xs @ m.w1.T + m.b1)
+    pred = h @ m.w2 + m.b2
+    resid = pred - ys
+    loss = float(0.5 * np.mean(resid**2))
+    d_pred = resid / n
+    g_w2 = h.T @ d_pred
+    g_b2 = float(d_pred.sum())
+    d_h = np.outer(d_pred, m.w2) * (1.0 - h**2)
+    g_w1 = d_h.T @ xs
+    g_b1 = d_h.sum(axis=0)
+    return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
 
 
 def finite_difference_grad(m, xs, ys, h=1e-6):
@@ -129,6 +147,31 @@ class TestLossAndGradient:
         loss2, grad2 = loss_and_gradient(m, np.vstack([xs, xs]), np.concatenate([ys, ys]))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         assert np.allclose(grad1, grad2, rtol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "n, d, k", [(1, 1, 1), (1, 4, 3), (9, 1, 6), (50, 3, 1), (333, 10, 8), (4097, 6, 11)]
+    )
+    def test_bit_identical_to_plain_expression(self, n, d, k):
+        rng = np.random.default_rng([n, d, k])
+        norm = NormalizationParams(
+            center=np.zeros(d), scale=np.ones(d), target_center=0.0, target_scale=1.0
+        )
+        m = MlpModel(
+            w1=rng.normal(size=(k, d)),
+            b1=rng.normal(size=k),
+            w2=rng.normal(size=k),
+            b2=float(rng.normal()),
+            norm=norm,
+        )
+        xs = rng.normal(size=(n, d))
+        ys = rng.normal(size=n)
+        xs_before, ys_before = xs.copy(), ys.copy()
+        loss, grad = loss_and_gradient(m, xs, ys)
+        ref_loss, ref_grad = plain_loss_and_gradient(m, xs, ys)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(xs, xs_before) and np.array_equal(ys, ys_before)
 
 
 class TestFlatten:
@@ -256,6 +299,17 @@ class TestTrain:
         assert np.array_equal(m1.w1, m2.w1)
         assert np.array_equal(m1.w2, m2.w2)
         assert m1.b2 == m2.b2
+
+    def test_theta_bit_identical_to_plain_objective(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        ds = make_ds(rng.normal(size=(120, 3)), rng.normal(size=120))
+        cfg = TrainConfig(max_iter=60, restarts=2)
+        model, report = train(NetworkSpec(3, 5), ds, cfg)
+        monkeypatch.setattr(mlp, "loss_and_gradient", plain_loss_and_gradient)
+        ref_model, ref_report = train(NetworkSpec(3, 5), ds, cfg)
+        assert np.array_equal(flatten(model), flatten(ref_model))
+        assert report.final_loss == ref_report.final_loss
+        assert report.iterations == ref_report.iterations
 
     def test_restarts_pick_lowest_loss(self):
         rng = np.random.default_rng(6)
