@@ -9,7 +9,8 @@ at full size, makes one call and hashes its output:
 - xmeans-cluster: the X-means labels and centroids;
 - width-sweep: every sweep entry except its training_seconds;
 - csv-pipeline: the report body as canonical JSON and the model file bytes;
-- density-cluster: the DBSCAN and MeanShift labels.
+- density-cluster: the DBSCAN labels and cluster means, and the MeanShift
+  labels and modes.
 
 It prints one digest per workload and seed, then one over all of them. Two
 checkouts that print the same lines computed bit-identical outputs. Like
@@ -42,7 +43,7 @@ def _parts(name: str, workload, outcome):
     if name == "csv-pipeline":
         body = json.loads(workload.report_path.read_text(encoding="utf-8"))["body"]
         return [json.dumps(body, sort_keys=True).encode(), workload.model_path.read_bytes()]
-    return [result.labels.tobytes() for result in outcome]
+    return [array.tobytes() for result in outcome for array in (result.labels, result.representatives)]
 
 
 def main(argv=None) -> int:

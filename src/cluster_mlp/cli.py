@@ -246,7 +246,7 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, dic
         if algo is not Algorithm.XMEANS:
             raise ConfigError("config: stability requires algorithm 'xmeans'")
         if not isinstance(kmins, list) or not kmins or not all(
-            isinstance(k, int) and k >= 1 for k in kmins
+            isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in kmins
         ):
             raise ConfigError("config: stability requires a non-empty list of positive 'kmins'")
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import require_int_fields
+
 
 class ClusteringError(Exception):
     pass
@@ -62,6 +64,7 @@ class XMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.kmin < 1 or self.kmax < self.kmin:
             raise ValueError("need 1 <= kmin <= kmax")
         if self.max_split_rounds < 1 or self.kmeans_max_iter < 1 or self.kmeans_tol <= 0:
@@ -74,6 +77,7 @@ class DbscanConfig:
     min_pts: int
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.eps <= 0 or self.min_pts < 1:
             raise ValueError("need eps > 0 and min_pts >= 1")
 
@@ -86,15 +90,11 @@ class MeanShiftConfig:
     merge_radius: float | None = None  # defaults to bandwidth / 2
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.merge_radius is None:
             object.__setattr__(self, "merge_radius", self.bandwidth / 2.0)
         if min(self.bandwidth, self.shift_tol, self.max_iter, self.merge_radius) <= 0:
             raise ValueError("all mean-shift parameters must be positive")
-
-
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def _fast_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -340,31 +340,71 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     return ClusteringResult(labels, np.array(centroids), len(clusters), elapsed, Algorithm.XMEANS)
 
 
+# Element budget of one block's (rows, window, d) difference array in
+# _eps_neighbors: 2**20 float64 values, 8 MB, whatever n is.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _eps_neighbors(points: np.ndarray, eps: float) -> list[np.ndarray]:
+    """Indices of the rows within eps of each row, self included.
+
+    A sweep over the rows sorted by their first coordinate: each block of
+    consecutive rows is compared only with the window of rows whose first
+    coordinate lies within 2*eps of the block's. The window is twice as wide
+    as a neighbour can be far, so rounding in its bounds never drops a pair.
+    Each squared distance is the broadcast difference summed by einsum, the
+    same expression for every pair whatever the block, so the eps test sees
+    the values an all-pairs (n, n, d) array would hold.
+    """
+    n, d = points.shape
+    order = np.argsort(points[:, 0], kind="stable")
+    swept = points[order]
+    first = swept[:, 0]
+    lo = np.searchsorted(first, first - 2.0 * eps, side="left")
+    hi = np.searchsorted(first, first + 2.0 * eps, side="right")
+    neighbors: list[np.ndarray] = [order[:0]] * n
+    a = 0
+    while a < n:
+        # lo and hi never decrease, so rows [a, b) share the window
+        # [lo[a], hi[b - 1]); halve the block until that fits the budget.
+        b = min(n, a + max(1, _BLOCK_ELEMENTS // (d * (hi[a] - lo[a]))))
+        while b - a > 1 and (b - a) * (hi[b - 1] - lo[a]) * d > _BLOCK_ELEMENTS:
+            b = a + (b - a) // 2
+        diff = swept[a:b, None, :] - swept[None, lo[a] : hi[b - 1], :]
+        within = np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
+        ids = order[lo[a] + np.nonzero(within)[1]]
+        cuts = np.cumsum(within.sum(axis=1))[:-1]
+        for row, nb in zip(order[a:b], np.split(ids, cuts)):
+            neighbors[row] = nb
+        a = b
+    return neighbors
+
+
 def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
-    """Density-connected expansion with deterministic input-order visiting.
-    Core points have >= min_pts neighbors within eps, self included."""
+    """Density-connected expansion with deterministic input-order seeding.
+    Core points have >= min_pts neighbors within eps, self included.
+
+    Each cluster starts at the first unlabelled core in input order and
+    grows one whole frontier at a time. Its members are the points reachable
+    through cores from that seed that no earlier cluster claimed, so the
+    order of visits inside a cluster cannot change any label.
+    """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     start = time.perf_counter()
-    d2 = _pairwise_sq_dists(points, points)
-    neighbors = [np.flatnonzero(d2[i] <= cfg.eps**2) for i in range(n)]
-    is_core = np.array([len(nb) >= cfg.min_pts for nb in neighbors])
+    neighbors = _eps_neighbors(points, cfg.eps)
+    is_core = np.array([nb.size for nb in neighbors], dtype=int) >= cfg.min_pts
 
     labels = np.full(n, -1, dtype=int)
     k = 0
-    for i in range(n):
-        if labels[i] != -1 or not is_core[i]:
+    for i in np.flatnonzero(is_core):
+        if labels[i] != -1:
             continue
-        labels[i] = k
-        frontier = list(neighbors[i])
-        pos = 0
-        while pos < len(frontier):
-            j = frontier[pos]
-            pos += 1
-            if labels[j] == -1:
-                labels[j] = k
-                if is_core[j]:
-                    frontier.extend(neighbors[j])
+        grown = np.array([i])
+        while grown.size:
+            labels[grown] = k
+            frontier = np.concatenate([neighbors[j] for j in grown[is_core[grown]]] or [grown[:0]])
+            grown = np.unique(frontier[labels[frontier] == -1])
         k += 1
 
     if k > 0:

@@ -12,7 +12,7 @@ import csv
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -21,6 +21,18 @@ import numpy as np
 
 class DataError(Exception):
     """Raised for unreadable, malformed, or emptied-out datasets."""
+
+
+def require_int_fields(cfg) -> None:
+    """Raises ValueError naming the first field of the dataclass cfg that is
+    annotated int but holds no integer: bool, float and str are refused,
+    Python and numpy integers pass."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type not in ("int", int):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 class RowPolicy(enum.Enum):
@@ -190,8 +202,8 @@ def _load_csv_rows(path: Path, target_column: str, id_column: str | None) -> Dat
         targets: list[float] = []
         row_ids: list[str] = []
         for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
+            if not any(cell.strip() for cell in record):
+                continue  # an empty or all-blank line, such as trailing spaces
             if len(record) != len(header):
                 raise DataError(f"{path}: row {lineno} has {len(record)} cells, expected {len(header)}")
             parsed = []

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, NormalizationParams, fit_normalization
+from .dataset import Dataset, NormalizationParams, fit_normalization, require_int_fields
 
 MODEL_FORMAT_VERSION = 1
 
@@ -81,6 +81,7 @@ class TrainConfig:
     restarts: int = 1
 
     def __post_init__(self):
+        require_int_fields(self)
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
             raise ValueError("need 0 < c1 < c2 < 1")
         if self.lbfgs_memory < 1 or self.max_iter < 1 or self.restarts < 1:

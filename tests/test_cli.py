@@ -161,6 +161,12 @@ class TestStability:
         cfg = write_config(tmp_path, "k.json", doc)
         assert main(["stability", str(cfg)]) == EXIT_CONFIG
 
+    def test_boolean_kmin_is_config_error(self, blob_csv, tmp_path):
+        doc = pipeline_config(blob_csv, tmp_path, kmins=[2, True])
+        cfg = write_config(tmp_path, "k.json", doc)
+        assert main(["stability", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "report.json").exists()
+
     def test_requires_xmeans(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path, kmins=[2])
         del doc["xmeans"]
@@ -245,6 +251,28 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["pipeline", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("dbscan", "min_pts", 2.5),
+            ("dbscan", "min_pts", True),
+            ("xmeans", "kmin", 2.5),
+            ("meanshift", "max_iter", 50.5),
+            ("train", "max_iter", 50.5),
+        ],
+    )
+    def test_non_integer_integer_field(self, blob_csv, tmp_path, capsys, section, key, value):
+        doc = pipeline_config(blob_csv, tmp_path)
+        if section in ("dbscan", "meanshift"):
+            del doc["xmeans"]
+            doc["algorithm"] = section
+            doc[section] = {"dbscan": {"eps": 0.5, "min_pts": 3}, "meanshift": {"bandwidth": 0.5}}[section]
+        doc[section][key] = value
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert f"{section}: {key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_no_side_effects_on_invalid_config(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cluster_mlp import clustering
 from cluster_mlp.clustering import (
     Algorithm,
     ClusteringError,
@@ -65,6 +68,64 @@ def partitions_equal(a, b):
         if mapping.setdefault(x, y) != y:
             return False
     return len(set(mapping.values())) == len(mapping)
+
+
+def seed_dbscan(points, eps, min_pts):
+    """Bit-level oracle: the original all-pairs DBSCAN, an (n, n, d)
+    difference array and a Python frontier list. Returns (labels, reps, k)."""
+    n = points.shape[0]
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    neighbors = [np.flatnonzero(d2[i] <= eps**2) for i in range(n)]
+    is_core = np.array([len(nb) >= min_pts for nb in neighbors])
+
+    labels = np.full(n, -1, dtype=int)
+    k = 0
+    for i in range(n):
+        if labels[i] != -1 or not is_core[i]:
+            continue
+        labels[i] = k
+        frontier = list(neighbors[i])
+        pos = 0
+        while pos < len(frontier):
+            j = frontier[pos]
+            pos += 1
+            if labels[j] == -1:
+                labels[j] = k
+                if is_core[j]:
+                    frontier.extend(neighbors[j])
+        k += 1
+
+    if k > 0:
+        reps = np.array([points[labels == j].mean(axis=0) for j in range(k)])
+    else:
+        reps = np.empty((0, points.shape[1]))
+    return labels, reps, k
+
+
+def dbscan_cases():
+    """Seeded (points, eps, min_pts) instances for the bit-identity test."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for d in range(1, 13):
+        # On a grid of step 0.5 every squared distance is exact, so many
+        # pairs sit exactly at eps; a step of 0.1 puts them a rounding away.
+        for step in (0.5, 0.5, 0.5, 0.1, 0.1, 0.1):
+            n = int(rng.integers(2, 90))
+            centers = rng.uniform(0, 3 * np.sqrt(d), size=(3, d))
+            pts = centers[rng.integers(3, size=n)] + rng.normal(0, 0.5, size=(n, d))
+            pts = np.round(pts / step) * step
+            eps = 0.5 * int(rng.integers(1, 3 + d // 3))
+            cases.append((pts, eps, int(rng.integers(1, 7))))
+        pts = rng.normal(size=(int(rng.integers(2, 90)), d))
+        cases.append((pts, float(rng.uniform(0.3, 1.5) * np.sqrt(d)), int(rng.integers(2, 6))))
+    pts = np.repeat(rng.uniform(size=(4, 3)), 5, axis=0)  # coincident points
+    cases.append((pts[rng.permutation(20)], 0.2, 5))
+    cases.append((np.array([[0.5, -1.0]]), 0.3, 1))  # n = 1
+    cases.append((np.array([[0.0], [10.0], [20.0]]), 1.0, 2))  # all noise
+    cases.append((rng.uniform(size=(40, 2)), 0.05, 1))  # min_pts = 1: every point a core
+    cases.append((rng.uniform(size=(60, 4)), 50.0, 3))  # one window covers every row
+    return cases
 
 
 class TestKmeans:
@@ -270,6 +331,31 @@ class TestDbscan:
         perm = rng.permutation(ds.n)
         shuffled = dbscan(ds.features[perm], cfg)
         assert partitions_equal(base.labels[perm], shuffled.labels)
+
+    @pytest.mark.parametrize("block_elements", [None, 1, 64])
+    def test_bit_identical_to_seed_dbscan(self, monkeypatch, block_elements):
+        # a small budget forces one-row and many-row blocks at tiny n
+        if block_elements is not None:
+            monkeypatch.setattr(clustering, "_BLOCK_ELEMENTS", block_elements)
+        for case, (pts, eps, min_pts) in enumerate(dbscan_cases()):
+            r = dbscan(pts, DbscanConfig(eps=eps, min_pts=min_pts))
+            labels, reps, k = seed_dbscan(pts, eps, min_pts)
+            assert r.k == k, f"case {case}"
+            assert np.array_equal(r.labels, labels), f"case {case}"
+            assert np.array_equal(r.representatives, reps), f"case {case}"
+
+    def test_peak_memory_bounded(self):
+        # an (n, n, d) float64 difference array alone would be 216 MB here
+        ds = synth_blobs(5, 600, 3, 30.0, 1.0, seed=1)
+        pts = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
+        tracemalloc.start()
+        try:
+            r = dbscan(pts, DbscanConfig(eps=0.3, min_pts=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.k == 5
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMeanshift:

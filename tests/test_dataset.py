@@ -141,6 +141,17 @@ class TestLoadCsvPaths:
         assert (_load_numeric_csv(p, "z") is not None) == numeric
         assert load_outcome(load_csv, p, id_column) == load_outcome(_load_csv_rows, p, id_column)
 
+    @pytest.mark.parametrize("blank", ["   \n", "\t\n", " , ,\n"])
+    @pytest.mark.parametrize("where", ["middle", "end"])
+    def test_blank_line_skipped(self, tmp_path, blank, where):
+        rows = ["a,b,z\n", "1,2,3\n", "4,5,6\n"]
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text("".join(rows))
+        rows.insert(2 if where == "middle" else 3, blank)
+        padded.write_text("".join(rows))
+        for id_column in (None, "a"):
+            assert load_outcome(load_csv, padded, id_column) == load_outcome(load_csv, plain, id_column)
+
     def test_random_floats_same_as_row_reader(self, tmp_path):
         ds = synth_blobs(3, 40, 4, 10.0, 0.5, seed=2)
         p = tmp_path / "f.csv"
