@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 digests of every output the benchmark's checks look at.
 
-    python3 scripts/output_digest.py [--workloads NAME ...] [--seeds N ...]
+    python3 scripts/output_digest.py [--workloads NAME ...] [--seeds N ...] [--check FILE]
 
 For each workload and seed this builds the inputs of perfbench/workloads.py
 at full size, makes one call and hashes its output:
@@ -16,6 +16,17 @@ It prints one digest per workload and seed, then one over all of them. Two
 checkouts that print the same lines computed bit-identical outputs. Like
 the benchmark, it runs with one BLAS/OpenMP thread; scratch files go to the
 system temporary directory.
+
+Digests depend on the numpy and BLAS build, so the script first writes that
+build to standard error as `#` lines. `scripts/output_digests.txt` holds
+those lines and the listing of the default workloads and seeds:
+
+    python3 scripts/output_digest.py > listing.txt 2> build.txt
+    cat build.txt listing.txt > scripts/output_digests.txt
+
+`--check FILE` compares each computed digest with the line of FILE for the
+same workload and seed, names every one that differs or is missing, and
+exits 1 if any does. It notes when FILE's build lines are not this build's.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -46,11 +58,54 @@ def _parts(name: str, workload, outcome):
     return [array.tobytes() for result in outcome for array in (result.labels, result.representatives)]
 
 
+def _build_lines() -> list[str]:
+    """The numpy and BLAS build, as `#` lines."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_text = f"{blas['name']} {blas['version']} ({blas.get('openblas configuration', 'no details')})"
+    except (TypeError, KeyError):  # an older numpy has no dict mode
+        blas_text = "unknown"
+    return [
+        f"# numpy {np.__version__}, python {platform.python_version()}, {platform.machine()}",
+        f"# BLAS {blas_text}",
+    ]
+
+
+def _check(computed: dict, path: Path) -> int:
+    """0 if every computed digest equals FILE's; else names each that does not."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    expected = {}
+    for line in lines:
+        fields = line.split()
+        if len(fields) == 4 and fields[1] == "seed":
+            expected[(fields[0], int(fields[2]))] = fields[3]
+    if [line for line in lines if line.startswith("#")] != _build_lines():
+        print(f"note: {path} was made with another numpy or BLAS build", file=sys.stderr)
+    bad = 0
+    for (name, seed), digest in computed.items():
+        if (name, seed) not in expected:
+            print(f"check: {name} seed {seed} missing from {path}", file=sys.stderr)
+            bad += 1
+        elif expected[(name, seed)] != digest:
+            print(f"check: {name} seed {seed} differs from {path}", file=sys.stderr)
+            bad += 1
+    if bad:
+        print(f"check failed: {bad} of {len(computed)} digests", file=sys.stderr)
+        return 1
+    print(f"check passed: {len(computed)} digests equal {path}", file=sys.stderr)
+    return 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
+    p.add_argument("--check", metavar="FILE", type=Path, help="compare the digests with a committed listing")
     args = p.parse_args(argv)
+    if args.check is not None and not args.check.is_file():
+        p.error(f"no such file: {args.check}")
 
     src = str(ROOT / "src")
     sys.path[:0] = [src, str(ROOT / "perfbench")]
@@ -62,6 +117,9 @@ def main(argv=None) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     import workloads
 
+    for line in _build_lines():
+        print(line, file=sys.stderr)
+    computed = {}
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         for name in args.workloads:
@@ -76,11 +134,12 @@ def main(argv=None) -> int:
                 digest = hashlib.sha256()
                 for part in _parts(name, workload, outcome):
                     digest.update(part)
+                computed[(name, seed)] = digest.hexdigest()
                 line = f"{name:16s} seed {seed:<3d} {digest.hexdigest()}"
                 print(line, flush=True)
                 total.update(line.encode() + b"\n")
     print(f"{'all':16s} {total.hexdigest()}")
-    return 0
+    return 0 if args.check is None else _check(computed, args.check)
 
 
 if __name__ == "__main__":

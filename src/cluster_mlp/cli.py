@@ -16,7 +16,8 @@ import datetime
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,6 @@ from .dataset import (
     SplitSpec,
     TargetFn,
     apply_normalization,
-    clean_sentinels,
-    filter_labeled,
-    fit_normalization,
-    holdout_split,
     load_csv,
     synth_blobs,
     write_csv,
@@ -96,32 +93,16 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _parse_split(doc: dict) -> SplitSpec:
-    _check_keys(doc, {"train_fraction", "seed"}, "split")
+def _parse_section(doc: dict, cls, where: str):
+    """Builds the config dataclass cls from a section whose keys must be
+    among cls's fields; the dataclass validates the values."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config: section {where!r} must be an object")
+    _check_keys(doc, {f.name for f in fields(cls)}, where)
     try:
-        return SplitSpec(
-            train_fraction=float(doc.get("train_fraction", 0.7)),
-            seed=int(doc.get("seed", 0)),
-        )
-    except ValueError as e:
-        raise ConfigError(f"split: {e}") from e
-
-
-def _parse_train(doc: dict) -> TrainConfig:
-    allowed = {
-        "lbfgs_memory",
-        "max_iter",
-        "grad_tol",
-        "wolfe_c1",
-        "wolfe_c2",
-        "init_scale_seed",
-        "restarts",
-    }
-    _check_keys(doc, allowed, "train")
-    try:
-        return TrainConfig(**{k: doc[k] for k in allowed if k in doc})
+        return cls(**doc)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"train: {e}") from e
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _parse_cleaning(doc: dict) -> CleaningPolicy:
@@ -143,6 +124,13 @@ def _parse_cleaning(doc: dict) -> CleaningPolicy:
         raise ConfigError(f"cleaning: {e}") from e
 
 
+ALGORITHM_CONFIGS = {
+    Algorithm.XMEANS: XMeansConfig,
+    Algorithm.DBSCAN: DbscanConfig,
+    Algorithm.MEANSHIFT: MeanShiftConfig,
+}
+
+
 def _parse_algorithm(doc: dict) -> tuple[Algorithm, dict]:
     name = _require(doc, "algorithm", str, "config")
     try:
@@ -151,31 +139,9 @@ def _parse_algorithm(doc: dict) -> tuple[Algorithm, dict]:
         raise ConfigError(f"config: unknown algorithm {name!r}") from None
     if algo is Algorithm.KMEANS:
         raise ConfigError("config: 'kmeans' is not a pipeline algorithm (it is parametric)")
-    section = doc.get(algo.value, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config: section {algo.value!r} must be an object")
-    kwargs = {}
-    if algo is Algorithm.XMEANS:
-        allowed = {"kmin", "kmax", "max_split_rounds", "kmeans_max_iter", "kmeans_tol", "seed"}
-        _check_keys(section, allowed, "xmeans")
-        try:
-            kwargs["xmeans"] = XMeansConfig(**section)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"xmeans: {e}") from e
-    elif algo is Algorithm.DBSCAN:
-        _check_keys(section, {"eps", "min_pts"}, "dbscan")
-        try:
-            kwargs["dbscan"] = DbscanConfig(**section)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"dbscan: {e}") from e
-    else:
-        _check_keys(section, {"bandwidth", "shift_tol", "max_iter", "merge_radius"}, "meanshift")
-        try:
-            kwargs["meanshift"] = MeanShiftConfig(**section)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"meanshift: {e}") from e
-    kwargs["xmeans"] = kwargs.get("xmeans")
-    return algo, kwargs
+    parsed = _parse_section(doc.get(algo.value, {}), ALGORITHM_CONFIGS[algo], algo.value)
+    # xmeans is named even when unused: PipelineConfig defaults it to a config
+    return algo, {"xmeans": None, algo.value: parsed}
 
 
 PIPELINE_KEYS = {
@@ -221,8 +187,8 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, dic
     if io["id_column"] is not None and not isinstance(io["id_column"], str):
         raise ConfigError("config: id_column must be a string or null")
 
-    split = _parse_split(doc.get("split", {}))
-    train_cfg = _parse_train(doc.get("train", {}))
+    split = _parse_section(doc.get("split", {}), SplitSpec, "split")
+    train_cfg = _parse_section(doc.get("train", {}), TrainConfig, "train")
     cleaning = _parse_cleaning(doc.get("cleaning", {}))
 
     if command == "sweep":
@@ -257,7 +223,7 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, dic
             train_cfg=train_cfg,
             cleaning=cleaning,
             validation_fraction=float(doc.get("validation_fraction", 0.2)),
-            validation_seed=int(doc.get("validation_seed", 1)),
+            validation_seed=doc.get("validation_seed", 1),
             **algo_kwargs,
         )
     except ValueError as e:
@@ -310,12 +276,11 @@ def _load_input(io: dict) -> Dataset:
 
 
 def cmd_cluster(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
-    ds = _load_input(io)
-    cleaned = clean_sentinels(filter_labeled(ds, cfg.cleaning), cfg.cleaning)
-    train_raw, _ = holdout_split(cleaned, cfg.split)
-    norm = fit_normalization(train_raw)
+    train_raw, _, norm = constructor.prepare(_load_input(io), cfg.split, cfg.cleaning)
     train_norm = apply_normalization(train_raw, norm)
+    start = time.perf_counter()
     _, result = constructor.construct_architecture(train_norm, cfg)
+    clustering_seconds = time.perf_counter() - start
 
     sizes = np.bincount(result.labels[result.labels >= 0], minlength=result.k)
     body = {
@@ -326,9 +291,9 @@ def cmd_cluster(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
         "labels": result.labels.tolist(),
         "row_ids": list(train_raw.row_ids),
     }
-    _write_report(io["output"], body, _header(config_doc, {"clustering": result.elapsed_seconds}))
+    _write_report(io["output"], body, _header(config_doc, {"clustering": clustering_seconds}))
     print(f"clustering: {result.algorithm.value}  k={result.k}  "
-          f"time={result.elapsed_seconds:.3f}s  sizes={sizes.tolist()}")
+          f"time={clustering_seconds:.3f}s  sizes={sizes.tolist()}")
     return EXIT_OK
 
 
@@ -433,7 +398,7 @@ def cmd_synth(config_doc: dict) -> int:
         target_fn = TargetFn(fn_name)
     except ValueError:
         raise ConfigError(f"config: unknown target_fn {fn_name!r}") from None
-    seed = int(config_doc.get("seed", 0))
+    seed = _require(config_doc, "seed", int, "config") if "seed" in config_doc else 0
     try:
         ds = synth_blobs(k, per_cluster, d, separation, noise_std, target_fn, seed)
     except ValueError as e:

@@ -9,7 +9,6 @@ be normalized features.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ class ClusteringResult:
     labels: np.ndarray  # (n,), -1 reserved for DBSCAN noise
     representatives: np.ndarray  # (k, d)
     k: int
-    elapsed_seconds: float
     algorithm: Algorithm
 
     def __post_init__(self):
@@ -50,8 +48,6 @@ class ClusteringResult:
         present = np.unique(labels[labels >= 0])
         if self.k > 0 and present.size != self.k:
             raise ClusteringError("every label in [0, k) must occur at least once")
-        if self.elapsed_seconds < 0:
-            raise ClusteringError("elapsed_seconds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -188,12 +184,10 @@ def kmeans(
         raise ClusteringError("k must be at least 1")
     if k > n:
         raise ClusteringError(f"k={k} exceeds the number of points n={n}")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     init = _weighted_init(points, k, rng)
     labels, centroids, _ = lloyd(points, init, max_iter, tol)
-    elapsed = time.perf_counter() - start
-    return ClusteringResult(labels, centroids, k, elapsed, Algorithm.KMEANS)
+    return ClusteringResult(labels, centroids, k, Algorithm.KMEANS)
 
 
 def bic_score(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
@@ -278,7 +272,6 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     n = points.shape[0]
     if cfg.kmin > n:
         raise ClusteringError(f"kmin={cfg.kmin} exceeds the number of points n={n}")
-    start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
 
     base = kmeans(points, cfg.kmin, seed=cfg.seed, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol)
@@ -307,13 +300,11 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
                 cand = _split_candidates(members, parent, rng, cfg.kmeans_max_iter, cfg.kmeans_tol)
                 if cand is not None:
                     sub_labels, sub_centroids = cand
-                    if np.any(sub_labels == 0) and np.any(sub_labels == 1):
-                        parent_bic = bic_score(
-                            members, np.zeros(members.shape[0], dtype=int), parent[None, :]
-                        )
-                        child_bic = bic_score(members, sub_labels, sub_centroids)
-                        if child_bic > parent_bic:
-                            accepted = (sub_labels, sub_centroids)
+                    parent_bic = bic_score(
+                        members, np.zeros(members.shape[0], dtype=int), parent[None, :]
+                    )
+                    if bic_score(members, sub_labels, sub_centroids) > parent_bic:
+                        accepted = cand
             if accepted is not None:
                 sub_labels, sub_centroids = accepted
                 next_clusters.append(idx[sub_labels == 0])
@@ -336,8 +327,7 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     labels = np.empty(n, dtype=int)
     for j, idx in enumerate(clusters):
         labels[idx] = j
-    elapsed = time.perf_counter() - start
-    return ClusteringResult(labels, np.array(centroids), len(clusters), elapsed, Algorithm.XMEANS)
+    return ClusteringResult(labels, np.array(centroids), len(clusters), Algorithm.XMEANS)
 
 
 # Element budget of one block's (rows, window, d) difference array in
@@ -391,7 +381,6 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    start = time.perf_counter()
     neighbors = _eps_neighbors(points, cfg.eps)
     is_core = np.array([nb.size for nb in neighbors], dtype=int) >= cfg.min_pts
 
@@ -411,8 +400,7 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
         reps = np.array([points[labels == j].mean(axis=0) for j in range(k)])
     else:
         reps = np.empty((0, points.shape[1]))
-    elapsed = time.perf_counter() - start
-    return ClusteringResult(labels, reps, k, elapsed, Algorithm.DBSCAN)
+    return ClusteringResult(labels, reps, k, Algorithm.DBSCAN)
 
 
 def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
@@ -420,7 +408,6 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
     then merge attractors within merge_radius into shared basins."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    start = time.perf_counter()
     h2 = cfg.bandwidth**2
     attractors = np.empty_like(points)
     for i in range(n):
@@ -446,8 +433,7 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
             modes.append(attractors[i])
             assigned = len(modes) - 1
         labels[i] = assigned
-    elapsed = time.perf_counter() - start
-    return ClusteringResult(labels, np.array(modes), len(modes), elapsed, Algorithm.MEANSHIFT)
+    return ClusteringResult(labels, np.array(modes), len(modes), Algorithm.MEANSHIFT)
 
 
 def cluster_count(r: ClusteringResult) -> int:

@@ -7,7 +7,8 @@ kmin stability study for X-means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,12 +24,14 @@ from .clustering import (
 from .dataset import (
     CleaningPolicy,
     Dataset,
+    NormalizationParams,
     SplitSpec,
     apply_normalization,
     clean_sentinels,
     filter_labeled,
     fit_normalization,
     holdout_split,
+    require_int_fields,
 )
 from .metrics import MetricBlock
 from .mlp import NetworkSpec, TrainConfig
@@ -54,6 +57,7 @@ class PipelineConfig:
     validation_seed: int = 1
 
     def __post_init__(self):
+        require_int_fields(self)
         present = {
             Algorithm.XMEANS: self.xmeans,
             Algorithm.DBSCAN: self.dbscan,
@@ -125,6 +129,26 @@ def construct_architecture(
     return NetworkSpec(input_width=train.d, hidden_width=k), result
 
 
+def prepare(
+    ds: Dataset, split: SplitSpec, cleaning: CleaningPolicy
+) -> tuple[Dataset, Dataset, NormalizationParams]:
+    """The data step shared by the pipeline, the sweep and `cluster`: drop
+    unlabeled and sentinel rows, make the holdout split, and fit the
+    normalization on the training part only. Returns the raw train and test
+    parts and that normalization."""
+    try:
+        cleaned = filter_labeled(ds, cleaning)
+        cleaned = clean_sentinels(cleaned, cleaning)
+    except Exception as e:
+        raise PipelineError("cleaning", e) from e
+
+    try:
+        train_raw, test_raw = holdout_split(cleaned, split)
+    except Exception as e:
+        raise PipelineError("split", e) from e
+    return train_raw, test_raw, fit_normalization(train_raw)
+
+
 def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
     """Full method on a raw dataset: clean, split, normalize (fit on train
     only), cluster to pick the architecture, train, evaluate."""
@@ -136,29 +160,22 @@ def run_pipeline_with_model(
     ds: Dataset, cfg: PipelineConfig
 ) -> tuple[PipelineReport, mlp.MlpModel]:
     """run_pipeline, also returning the trained model for serialization."""
-    try:
-        cleaned = filter_labeled(ds, cfg.cleaning)
-        cleaned = clean_sentinels(cleaned, cfg.cleaning)
-    except Exception as e:
-        raise PipelineError("cleaning", e) from e
-
-    try:
-        train_raw, test_raw = holdout_split(cleaned, cfg.split)
-    except Exception as e:
-        raise PipelineError("split", e) from e
-
-    norm = fit_normalization(train_raw)
+    train_raw, test_raw, norm = prepare(ds, cfg.split, cfg.cleaning)
     train_norm = apply_normalization(train_raw, norm)
 
+    start = time.perf_counter()
     try:
-        spec, cluster_result = construct_architecture(train_norm, cfg)
+        spec, _ = construct_architecture(train_norm, cfg)
     except Exception as e:
         raise PipelineError("clustering", e) from e
+    clustering_seconds = time.perf_counter() - start
 
+    start = time.perf_counter()
     try:
-        model, train_report = mlp.train(spec, train_raw, cfg.train_cfg, norm=norm)
+        model, _ = mlp.train(spec, train_raw, cfg.train_cfg, norm=norm)
     except Exception as e:
         raise PipelineError("training", e) from e
+    training_seconds = time.perf_counter() - start
 
     # reported-only validation cut carved from the training portion
     val_block: MetricBlock | None = None
@@ -172,8 +189,8 @@ def run_pipeline_with_model(
     report = PipelineReport(
         k=spec.hidden_width,
         spec=spec,
-        clustering_seconds=cluster_result.elapsed_seconds,
-        training_seconds=train_report.elapsed_seconds,
+        clustering_seconds=clustering_seconds,
+        training_seconds=training_seconds,
         metrics_train=metrics.metric_block(mlp.predict(model, train_raw), train_raw.targets),
         metrics_test=metrics.metric_block(mlp.predict(model, test_raw), test_raw.targets),
         metrics_validation=val_block,
@@ -188,29 +205,27 @@ def sweep_hidden(
     widths: list[int],
     split: SplitSpec,
     train_cfg: TrainConfig,
-    cleaning: CleaningPolicy | None = None,
+    cleaning: CleaningPolicy = CleaningPolicy(),
 ) -> SweepReport:
-    """Ad-hoc baseline: one model per hidden width on a shared split; the
-    best width minimizes test RMS (ties go to the smaller network)."""
+    """Ad-hoc baseline: one model per hidden width on the pipeline's cleaned
+    split; the best width minimizes test RMS (ties go to the smaller network)."""
     if not widths:
         raise ValueError("widths must be non-empty")
-    cleaned = ds
-    if cleaning is not None:
-        cleaned = clean_sentinels(filter_labeled(ds, cleaning), cleaning)
-    train_raw, test_raw = holdout_split(cleaned, split)
-    norm = fit_normalization(train_raw)
+    train_raw, test_raw, norm = prepare(ds, split, cleaning)
 
     entries = []
     for w in sorted(widths):
-        spec = NetworkSpec(input_width=cleaned.d, hidden_width=w)
-        model, report = mlp.train(spec, train_raw, train_cfg, norm=norm)
+        spec = NetworkSpec(input_width=train_raw.d, hidden_width=w)
+        start = time.perf_counter()
+        model, _ = mlp.train(spec, train_raw, train_cfg, norm=norm)
+        training_seconds = time.perf_counter() - start
         pred = mlp.predict(model, test_raw)
         entries.append(
             SweepEntry(
                 hidden_width=w,
                 rms_test=metrics.rms(pred, test_raw.targets),
                 correlation=metrics.correlation(pred, test_raw.targets),
-                training_seconds=report.elapsed_seconds,
+                training_seconds=training_seconds,
             )
         )
     best = min(entries, key=lambda e: (e.rms_test, e.hidden_width))
@@ -225,26 +240,8 @@ def kmin_stability(ds: Dataset, kmins: list[int], cfg: PipelineConfig) -> list[S
         raise ValueError("kmins must be non-empty")
     rows = []
     for kmin in kmins:
-        xcfg = XMeansConfig(
-            kmin=kmin,
-            kmax=max(kmin, cfg.xmeans.kmax),
-            max_split_rounds=cfg.xmeans.max_split_rounds,
-            kmeans_max_iter=cfg.xmeans.kmeans_max_iter,
-            kmeans_tol=cfg.xmeans.kmeans_tol,
-            seed=cfg.xmeans.seed,
-        )
-        run_cfg = PipelineConfig(
-            algorithm=Algorithm.XMEANS,
-            xmeans=xcfg,
-            dbscan=None,
-            meanshift=None,
-            split=cfg.split,
-            train_cfg=cfg.train_cfg,
-            cleaning=cfg.cleaning,
-            validation_fraction=cfg.validation_fraction,
-            validation_seed=cfg.validation_seed,
-        )
-        report = run_pipeline(ds, run_cfg)
+        xcfg = replace(cfg.xmeans, kmin=kmin, kmax=max(kmin, cfg.xmeans.kmax))
+        report = run_pipeline(ds, replace(cfg, xmeans=xcfg))
         rows.append(
             StabilityRow(
                 kmin=kmin,

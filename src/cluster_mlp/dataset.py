@@ -121,6 +121,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         if self.seed < 0:

@@ -9,8 +9,7 @@ with, so prediction accepts raw features and returns raw-unit targets.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -95,7 +94,6 @@ class TrainReport:
     final_loss: float
     iterations: int
     converged: bool
-    elapsed_seconds: float
 
 
 def init_model(spec: NetworkSpec, seed: int, norm: NormalizationParams | None = None) -> MlpModel:
@@ -258,7 +256,6 @@ def lbfgs_minimize(
     s'y <= 1e-10 ||s|| ||y|| are discarded; the initial inverse-Hessian
     scale is s'y / y'y from the most recent kept pair.
     """
-    start = time.perf_counter()
     x = np.array(x0, dtype=float)
     f, g = objective(x)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
@@ -308,13 +305,7 @@ def lbfgs_minimize(
         iterations += 1
         converged = bool(np.max(np.abs(g)) < cfg.grad_tol)
 
-    report = TrainReport(
-        final_loss=float(f),
-        iterations=iterations,
-        converged=converged,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-    return x, report
+    return x, TrainReport(final_loss=float(f), iterations=iterations, converged=converged)
 
 
 def train(
@@ -331,7 +322,6 @@ def train(
     xs = (train_set.features - norm.center) / norm.scale
     ys = (train_set.targets - norm.target_center) / norm.target_scale
 
-    start = time.perf_counter()
     best: tuple[float, int, np.ndarray, TrainReport] | None = None
     total_iters = 0
     for r in range(cfg.restarts):
@@ -346,14 +336,7 @@ def train(
             best = (rep.final_loss, r, theta, rep)
     assert best is not None
     _, _, theta, rep = best
-    elapsed = time.perf_counter() - start
-    model = unflatten(theta, spec, norm)
-    return model, TrainReport(
-        final_loss=rep.final_loss,
-        iterations=total_iters,
-        converged=rep.converged,
-        elapsed_seconds=elapsed,
-    )
+    return unflatten(theta, spec, norm), replace(rep, iterations=total_iters)
 
 
 def predict(m: MlpModel, ds: Dataset) -> np.ndarray:

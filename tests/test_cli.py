@@ -176,6 +176,26 @@ class TestStability:
         assert main(["stability", str(cfg)]) == EXIT_CONFIG
 
 
+class TestCleaningStage:
+    @pytest.fixture
+    def unlabeled_csv(self, blob_csv):
+        lines = blob_csv.read_text().splitlines()
+        rows = [line.rsplit(",", 1)[0] + ",-9.999" for line in lines[1:]]
+        blob_csv.write_text("\n".join([lines[0], *rows]) + "\n")
+        return blob_csv
+
+    @pytest.mark.parametrize("command", ["cluster", "pipeline", "sweep"])
+    def test_no_labeled_rows_names_cleaning(self, unlabeled_csv, tmp_path, capsys, command):
+        doc = pipeline_config(unlabeled_csv, tmp_path)
+        if command == "sweep":
+            del doc["algorithm"], doc["xmeans"]
+            doc["widths"] = [2]
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main([command, str(cfg)]) == EXIT_DATA
+        assert "pipeline stage 'cleaning'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestSynth:
     def synth_doc(self, tmp_path, **extra):
         doc = {
@@ -209,6 +229,13 @@ class TestSynth:
     def test_invalid_spec_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "g.json", self.synth_doc(tmp_path, separation=-1.0))
         assert main(["synth", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("seed", [2.5, "3", True])
+    def test_non_integer_seed_is_config_error(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, "g.json", self.synth_doc(tmp_path, seed=seed))
+        assert main(["synth", str(cfg)]) == EXIT_CONFIG
+        assert "key 'seed' must be" in capsys.readouterr().err
+        assert not (tmp_path / "synth.csv").exists()
 
 
 class TestEvaluate:
@@ -273,6 +300,37 @@ class TestConfigValidation:
         assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
         assert f"{section}: {key} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    def test_non_integer_split_seed(self, blob_csv, tmp_path, capsys, value):
+        doc = pipeline_config(blob_csv, tmp_path)
+        doc["split"]["seed"] = value
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert f"split: seed must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    def test_non_integer_validation_seed(self, blob_csv, tmp_path, capsys, value):
+        doc = pipeline_config(blob_csv, tmp_path, validation_seed=value)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert f"config: validation_seed must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_unknown_split_key(self, blob_csv, tmp_path, capsys):
+        doc = pipeline_config(blob_csv, tmp_path)
+        doc["split"]["folds"] = 3
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert "split: unknown keys ['folds']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value", [("split", []), ("train", 5), ("xmeans", "x")])
+    def test_non_object_section(self, blob_csv, tmp_path, capsys, section, value):
+        doc = pipeline_config(blob_csv, tmp_path, **{section: value})
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert f"config: section {section!r} must be an object" in capsys.readouterr().err
 
     def test_no_side_effects_on_invalid_config(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path)

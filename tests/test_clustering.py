@@ -417,7 +417,6 @@ class TestClusterCount:
             labels=np.array([0, 1, 0]),
             representatives=np.zeros((2, 1)),
             k=2,
-            elapsed_seconds=0.0,
             algorithm=Algorithm.XMEANS,
         )
         assert cluster_count(r) == 2
@@ -427,7 +426,6 @@ class TestClusterCount:
             labels=np.array([0, 1, -1]),
             representatives=np.zeros((2, 1)),
             k=2,
-            elapsed_seconds=0.0,
             algorithm=Algorithm.DBSCAN,
         )
         assert cluster_count(r) == 2
@@ -437,7 +435,6 @@ class TestClusterCount:
             labels=np.array([-1, -1]),
             representatives=np.zeros((0, 1)),
             k=0,
-            elapsed_seconds=0.0,
             algorithm=Algorithm.DBSCAN,
         )
         with pytest.raises(ClusteringError, match="no clusters"):
@@ -451,7 +448,6 @@ class TestResultInvariants:
                 labels=np.array([0, -1]),
                 representatives=np.zeros((1, 1)),
                 k=1,
-                elapsed_seconds=0.0,
                 algorithm=Algorithm.XMEANS,
             )
 
@@ -461,6 +457,5 @@ class TestResultInvariants:
                 labels=np.array([0, 0]),
                 representatives=np.zeros((2, 1)),
                 k=2,
-                elapsed_seconds=0.0,
                 algorithm=Algorithm.KMEANS,
             )

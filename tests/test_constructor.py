@@ -7,14 +7,18 @@ from cluster_mlp.constructor import (
     PipelineError,
     construct_architecture,
     kmin_stability,
+    prepare,
     run_pipeline,
     sweep_hidden,
 )
 from cluster_mlp.dataset import (
+    CleaningPolicy,
     Dataset,
     SplitSpec,
     TargetFn,
     apply_normalization,
+    clean_sentinels,
+    filter_labeled,
     fit_normalization,
     synth_blobs,
 )
@@ -153,6 +157,37 @@ class TestRunPipeline:
         assert report.k == 2
 
 
+def with_sentinels(ds, rows, feature_rows):
+    """ds with the missing-target sentinel on `rows` and the feature
+    sentinel 99.0 in column 0 of `feature_rows`."""
+    features, targets = ds.features.copy(), ds.targets.copy()
+    targets[rows] = -9.999
+    features[feature_rows, 0] = 99.0
+    return Dataset(
+        features=features,
+        targets=targets,
+        feature_names=ds.feature_names,
+        row_ids=ds.row_ids,
+    )
+
+
+class TestPrepare:
+    def test_cleans_splits_and_fits_on_train(self):
+        ds = with_sentinels(synth_blobs(3, 30, 2, 20.0, 1.0, seed=0), [0, 5], [7])
+        train, test, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
+        assert train.n + test.n == ds.n - 3
+        assert not set(train.row_ids) & set(test.row_ids)
+        assert not {"0", "5", "7"} & set(train.row_ids + test.row_ids)
+        assert np.array_equal(norm.center, fit_normalization(train).center)
+        assert norm.target_scale == fit_normalization(train).target_scale
+
+    def test_split_failure_names_split(self):
+        ds = with_sentinels(synth_blobs(1, 3, 2, 20.0, 1.0, seed=0), [0, 1], [])
+        with pytest.raises(PipelineError, match="split") as info:
+            prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
+        assert info.value.stage == "split"
+
+
 class TestSweep:
     def test_singleton(self):
         ds = synth_blobs(2, 30, 2, 20.0, 1.0, seed=0)
@@ -181,6 +216,21 @@ class TestSweep:
         rank = lambda v: np.argsort(np.argsort(v))
         rho = np.corrcoef(rank(neg_rms), rank(corr))[0, 1]
         assert rho > 0
+
+    def test_applies_cleaning_policy(self):
+        ds = with_sentinels(synth_blobs(2, 30, 2, 20.0, 1.0, seed=0), [1, 4], [2])
+        policy = CleaningPolicy()
+        cleaned = clean_sentinels(filter_labeled(ds, policy), policy)
+        a = sweep_hidden(ds, [1, 3], SplitSpec(0.7, 0), FAST_TRAIN)
+        b = sweep_hidden(cleaned, [1, 3], SplitSpec(0.7, 0), FAST_TRAIN)
+        assert [(e.rms_test, e.correlation) for e in a.entries] == [
+            (e.rms_test, e.correlation) for e in b.entries
+        ]
+
+    def test_no_labeled_rows_names_cleaning(self):
+        ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
+        with pytest.raises(PipelineError, match="cleaning"):
+            sweep_hidden(with_sentinels(ds, slice(None), []), [2], SplitSpec(0.7, 0), FAST_TRAIN)
 
     def test_empty_widths(self):
         ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
