@@ -93,11 +93,16 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _require_object(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"config: section {where!r} must be an object")
+    return section
+
+
 def _parse_section(doc: dict, cls, where: str):
     """Builds the config dataclass cls from a section whose keys must be
     among cls's fields; the dataclass validates the values."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config: section {where!r} must be an object")
+    _require_object(doc, where)
     _check_keys(doc, {f.name for f in fields(cls)}, where)
     try:
         return cls(**doc)
@@ -106,6 +111,7 @@ def _parse_section(doc: dict, cls, where: str):
 
 
 def _parse_cleaning(doc: dict) -> CleaningPolicy:
+    _require_object(doc, "cleaning")
     _check_keys(doc, {"target_missing_sentinel", "feature_sentinels", "row_policy"}, "cleaning")
     policy = doc.get("row_policy", "drop_row_if_any_sentinel")
     try:
@@ -222,7 +228,11 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, dic
             split=split,
             train_cfg=train_cfg,
             cleaning=cleaning,
-            validation_fraction=float(doc.get("validation_fraction", 0.2)),
+            validation_fraction=(
+                _require(doc, "validation_fraction", float, "config")
+                if "validation_fraction" in doc
+                else 0.2
+            ),
             validation_seed=doc.get("validation_seed", 1),
             **algo_kwargs,
         )
@@ -486,8 +496,6 @@ def main(argv: list[str] | None = None) -> int:
             doc["input"] = args.input
         if args.output is not None:
             doc["output"] = args.output
-        if args.seed is not None:
-            doc.setdefault("split", {})["seed"] = args.seed
 
         if args.command == "synth":
             if args.seed is not None:
@@ -497,6 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             doc.pop("split", None)
             return cmd_evaluate(doc)
+        if args.seed is not None:
+            _require_object(doc.setdefault("split", {}), "split")["seed"] = args.seed
 
         cfg, io = _parse_pipeline_config(doc, args.command)
         handler = {

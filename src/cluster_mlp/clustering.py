@@ -125,27 +125,40 @@ def lloyd(
     init_centroids: np.ndarray,
     max_iter: int,
     tol: float,
+    points_sq: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations from explicit initial centroids.
 
     Returns (labels, centroids, per-iteration WCSS history). Empty clusters
     are re-seeded from the point farthest from its assigned centroid.
+    `points_sq` (row sums of squares) and `columns` (the contiguous
+    transpose) depend only on the points; callers that run Lloyd several
+    times on the same points pass them in to compute them once.
     """
     centroids = np.array(init_centroids, dtype=float)
     n, d = points.shape
     k = centroids.shape[0]
     history: list[float] = []
     labels = np.zeros(n, dtype=int)
-    points_sq = (points * points).sum(axis=1)  # constant across iterations
-    columns = np.ascontiguousarray(points.T)  # bincount copies strided weights
+    if points_sq is None:
+        points_sq = (points * points).sum(axis=1)
+    if columns is None:
+        columns = np.ascontiguousarray(points.T)  # bincount copies strided weights
     rows = np.arange(n)
 
     def assign(cents):
         # argmin_j ||x - c_j||^2 = argmin_j (||c_j||^2 - 2 x.c_j); ||x||^2 is
         # added back only for the per-point distances the caller needs.
         partial = (cents * cents).sum(axis=1)[None, :] - 2.0 * (points @ cents.T)
-        lab = partial.argmin(axis=1)
-        point_d2 = np.maximum(points_sq + partial[rows, lab], 0.0)
+        if k == 2:
+            # argmin of two columns without its per-row loop; a tie keeps the
+            # first column, as argmin does.
+            lab = (partial[:, 1] < partial[:, 0]).astype(np.intp)
+            point_d2 = np.maximum(points_sq + np.minimum(partial[:, 0], partial[:, 1]), 0.0)
+        else:
+            lab = partial.argmin(axis=1)
+            point_d2 = np.maximum(points_sq + partial[rows, lab], 0.0)
         counts = np.bincount(lab, minlength=k)
         for j in np.flatnonzero(counts == 0):
             far = int(point_d2.argmax())
@@ -227,14 +240,15 @@ def _split_candidates(
     tol: float,
     tries: int = 2,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """2-means on a cluster's members, children seeded at parent +/- r*u
-    with u a random unit direction and r the RMS point-to-centroid radius.
+    """2-means split of a cluster's members, or None when the split loses.
 
-    Lloyd from one random direction can stall in a poor local optimum, so a
-    few directions plus one distance-weighted seeding are tried and the
-    children with the best BIC are returned.
+    Children are seeded at parent +/- r*u with u a random unit direction and
+    r the RMS point-to-centroid radius. Lloyd from one random direction can
+    stall in a poor local optimum, so a few directions plus one
+    distance-weighted seeding are tried. The split wins when its children's
+    joint BIC beats the parent's one-cluster BIC.
     """
-    d = members.shape[1]
+    n, d = members.shape
     radius = float(np.sqrt(np.mean(np.sum((members - parent) ** 2, axis=1))))
     if radius == 0.0:
         return None  # coincident points; nothing to split
@@ -245,21 +259,30 @@ def _split_candidates(
         inits.append(np.vstack([parent + radius * u, parent - radius * u]))
     inits.append(_weighted_init(members, 2, rng))
 
+    # Every Lloyd run below is on the same members.
+    points_sq = (members * members).sum(axis=1)
+    columns = np.ascontiguousarray(members.T)
+    parent_bic = bic_score(members, np.zeros(n, dtype=int), parent[None, :])
+
     # Trials run a capped number of Lloyd iterations (enough to rank the
-    # seedings); only the winner is refined to full convergence.
+    # seedings); only a winner that already beats the parent is refined to
+    # full convergence. Every random draw happens above, so refusing here
+    # leaves the random stream of later splits as it was.
     trial_iters = min(max_iter, 5)
     best: tuple[float, np.ndarray] | None = None
     for init in inits:
-        sub_labels, sub_centroids, _ = lloyd(members, init, trial_iters, tol)
+        sub_labels, sub_centroids, _ = lloyd(members, init, trial_iters, tol, points_sq, columns)
         if not (np.any(sub_labels == 0) and np.any(sub_labels == 1)):
             continue
         score = bic_score(members, sub_labels, sub_centroids)
         if best is None or score > best[0]:
             best = (score, sub_centroids)
-    if best is None:
+    if best is None or best[0] <= parent_bic:
         return None
-    sub_labels, sub_centroids, _ = lloyd(members, best[1], max_iter, tol)
+    sub_labels, sub_centroids, _ = lloyd(members, best[1], max_iter, tol, points_sq, columns)
     if not (np.any(sub_labels == 0) and np.any(sub_labels == 1)):
+        return None
+    if bic_score(members, sub_labels, sub_centroids) <= parent_bic:
         return None
     return sub_labels, sub_centroids
 
@@ -267,7 +290,10 @@ def _split_candidates(
 def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     """X-means: start with kmin-means, then repeatedly try to split each
     cluster in two; a split is kept only when the children's joint BIC beats
-    the parent's. Stops at kmax, a split-free round, or the round limit."""
+    the parent's. A cluster whose split is refused is not attempted again
+    until a round accepts no split at all; then every cluster is attempted
+    once more, in one retry round. The next split-free round ends the
+    search, as do kmax and the round limit."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if cfg.kmin > n:
@@ -279,14 +305,16 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         np.flatnonzero(base.labels == j) for j in range(cfg.kmin)
     ]
     centroids: list[np.ndarray] = [points[idx].mean(axis=0) for idx in clusters]
-    # Splits never reassign points across clusters, so a cluster that refuses
-    # to split keeps identical members in every later round; attempting it
-    # again could only differ through fresh random seedings. Refused clusters
-    # are therefore frozen and each cluster is attempted exactly once.
+    # Splits never reassign points across clusters, so a refused cluster
+    # keeps its members; a new attempt differs only through fresh random
+    # seedings. One bad seeding can still refuse a cluster that holds several
+    # blobs, so a split-free round reopens every cluster for one retry round
+    # instead of ending the search.
     open_flags: list[bool] = [True] * len(clusters)
+    retried = False
 
     for _ in range(cfg.max_split_rounds):
-        if len(clusters) >= cfg.kmax or not any(open_flags):
+        if len(clusters) >= cfg.kmax:
             break
         any_split = False
         total = len(clusters)
@@ -294,19 +322,11 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         next_centroids: list[np.ndarray] = []
         next_open: list[bool] = []
         for idx, parent, is_open in zip(clusters, centroids, open_flags):
-            members = points[idx]
-            accepted = None
-            if is_open and total < cfg.kmax and members.shape[0] >= 3:
-                cand = _split_candidates(members, parent, rng, cfg.kmeans_max_iter, cfg.kmeans_tol)
-                if cand is not None:
-                    sub_labels, sub_centroids = cand
-                    parent_bic = bic_score(
-                        members, np.zeros(members.shape[0], dtype=int), parent[None, :]
-                    )
-                    if bic_score(members, sub_labels, sub_centroids) > parent_bic:
-                        accepted = cand
-            if accepted is not None:
-                sub_labels, sub_centroids = accepted
+            split = None
+            if is_open and total < cfg.kmax and idx.size >= 3:
+                split = _split_candidates(points[idx], parent, rng, cfg.kmeans_max_iter, cfg.kmeans_tol)
+            if split is not None:
+                sub_labels, sub_centroids = split
                 next_clusters.append(idx[sub_labels == 0])
                 next_clusters.append(idx[sub_labels == 1])
                 next_centroids.append(sub_centroids[0])
@@ -322,7 +342,10 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         centroids = next_centroids
         open_flags = next_open
         if not any_split:
-            break
+            if retried:
+                break
+            retried = True
+            open_flags = [True] * len(clusters)
 
     labels = np.empty(n, dtype=int)
     for j, idx in enumerate(clusters):

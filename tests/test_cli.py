@@ -332,6 +332,31 @@ class TestConfigValidation:
         assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
         assert f"config: section {section!r} must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [[1], "0.3", True])
+    def test_non_number_validation_fraction(self, blob_csv, tmp_path, capsys, value):
+        doc = pipeline_config(blob_csv, tmp_path, validation_fraction=value)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert "config: key 'validation_fraction' must be" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integer_validation_fraction_accepted(self, blob_csv, tmp_path):
+        doc = pipeline_config(blob_csv, tmp_path, validation_fraction=0)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_OK
+
+    def test_non_object_cleaning(self, blob_csv, tmp_path, capsys):
+        doc = pipeline_config(blob_csv, tmp_path, cleaning=5)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert "config: section 'cleaning' must be an object" in capsys.readouterr().err
+
+    def test_non_object_split_with_seed_override(self, blob_csv, tmp_path, capsys):
+        doc = pipeline_config(blob_csv, tmp_path, split=[1])
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg), "--seed", "3"]) == EXIT_CONFIG
+        assert "config: section 'split' must be an object" in capsys.readouterr().err
+
     def test_no_side_effects_on_invalid_config(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path)
         doc["xmeans"]["kmin"] = -3

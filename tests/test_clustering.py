@@ -103,6 +103,75 @@ def seed_dbscan(points, eps, min_pts):
     return labels, reps, k
 
 
+def seed_lloyd(points, init_centroids, max_iter, tol):
+    """Bit-level oracle: Lloyd as first written, with an argmin over every
+    centroid and the per-point terms computed on each call."""
+    centroids = np.array(init_centroids, dtype=float)
+    n, d = points.shape
+    k = centroids.shape[0]
+    history = []
+    labels = np.zeros(n, dtype=int)
+    points_sq = (points * points).sum(axis=1)
+    columns = np.ascontiguousarray(points.T)
+    rows = np.arange(n)
+
+    def assign(cents):
+        partial = (cents * cents).sum(axis=1)[None, :] - 2.0 * (points @ cents.T)
+        lab = partial.argmin(axis=1)
+        point_d2 = np.maximum(points_sq + partial[rows, lab], 0.0)
+        counts = np.bincount(lab, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            far = int(point_d2.argmax())
+            cents[j] = points[far]
+            lab[far] = j
+            point_d2[far] = 0.0
+            counts = np.bincount(lab, minlength=k)
+        return lab, point_d2, counts
+
+    for _ in range(max_iter):
+        labels, point_d2, counts = assign(centroids)
+        history.append(float(point_d2.sum()))
+        sums = np.empty_like(centroids)
+        for j in range(d):
+            sums[:, j] = np.bincount(labels, weights=columns[j], minlength=k)
+        new_centroids = sums / counts[:, None]
+        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if movement < tol:
+            break
+    labels, point_d2, _ = assign(centroids)
+    history.append(float(point_d2.sum()))
+    return labels, centroids, history
+
+
+def lloyd_cases():
+    """Seeded (points, init, max_iter) instances for the bit-identity test."""
+    rng = np.random.default_rng(2025)
+    cases = []
+    for d in range(1, 13):
+        for n in (1, 2, 3):
+            pts = rng.normal(size=(n, d))
+            for k in range(1, n + 1):
+                cases.append((pts, pts[rng.choice(n, size=k, replace=False)], 10))
+        for k in (2, 2, 3, 5):
+            n = int(rng.integers(4, 300))
+            pts = rng.normal(size=(n, d)) + 4.0 * rng.integers(0, 3, size=(n, 1))
+            cases.append((pts, pts[rng.choice(n, size=k, replace=False)], int(rng.integers(1, 40))))
+        # Exact ties for k=2: integer points symmetric about the plane x0 = 0,
+        # many of them on it, and centroids mirrored across it, so every
+        # point on the plane is equidistant from both.
+        half = rng.integers(-3, 4, size=(20, d)).astype(float)
+        half[:8, 0] = 0.0
+        mirror = half * np.r_[-1.0, np.ones(d - 1)]
+        pts = np.vstack([half, mirror])
+        c = rng.integers(1, 3, size=d).astype(float)
+        cases.append((pts, np.vstack([c, c * np.r_[-1.0, np.ones(d - 1)]]), 20))
+        # Coincident points force empty clusters and their re-seeding.
+        pts = np.repeat(rng.normal(size=(2, d)), 4, axis=0)
+        cases.append((pts, np.vstack([pts[0], pts[0], pts[0]]), 5))
+    return cases
+
+
 def dbscan_cases():
     """Seeded (points, eps, min_pts) instances for the bit-identity test."""
     rng = np.random.default_rng(2024)
@@ -183,6 +252,20 @@ class TestKmeans:
             _, _, hist = lloyd(pts, init, max_iter=50, tol=1e-12)
             for a, b in zip(hist, hist[1:]):
                 assert b <= a + 1e-9
+
+    def test_bit_identical_to_seed_lloyd(self):
+        for case, (pts, init, max_iter) in enumerate(lloyd_cases()):
+            want = seed_lloyd(pts, init, max_iter, 1e-9)
+            points_sq = (pts * pts).sum(axis=1)
+            columns = np.ascontiguousarray(pts.T)
+            for got in (
+                lloyd(pts, init, max_iter, 1e-9),
+                lloyd(pts, init, max_iter, 1e-9, points_sq, columns),
+            ):
+                assert got[0].dtype == want[0].dtype, case
+                assert np.array_equal(got[0], want[0]), case
+                assert np.array_equal(got[1], want[1]), case
+                assert got[2] == want[2], case
 
     def test_k_out_of_range(self):
         pts = np.zeros((3, 2))
@@ -275,6 +358,32 @@ class TestXmeans:
     def test_kmin_exceeds_n(self):
         with pytest.raises(ClusteringError):
             xmeans(np.zeros((3, 2)), XMeansConfig(kmin=5, kmax=10))
+
+    def test_refused_clusters_retried_once(self):
+        # The first round refuses both kmin clusters, one bad seeding each;
+        # when that ended the search, X-means stopped at k=2.
+        ds = synth_blobs(5, 60, 3, 30.0, 1.0, seed=3)
+        r = xmeans(ds.features, XMeansConfig(kmin=2, kmax=20, seed=3))
+        assert r.k == 5
+
+    @pytest.mark.parametrize("centers, accepted", [([0.0], False), ([0.0, 30.0], True)])
+    def test_split_refined_only_when_a_trial_wins(self, monkeypatch, centers, accepted):
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(c, 1.0, size=(200, 3)) for c in centers])
+        runs = []
+        real_lloyd = clustering.lloyd
+
+        def counting_lloyd(*args, **kwargs):
+            runs.append(args[2])
+            return real_lloyd(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "lloyd", counting_lloyd)
+        tries = 2
+        split = clustering._split_candidates(pts, pts.mean(axis=0), rng, 300, 1e-6, tries=tries)
+        assert (split is not None) == accepted
+        # tries random directions plus one weighted seeding, capped at 5
+        # iterations; the full-length refinement only for a winning trial.
+        assert runs == [5] * (tries + 1) + [300] * accepted
 
     def test_result_invariants(self):
         ds = synth_blobs(4, 25, 3, 15.0, 1.0, seed=2)
