@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,11 @@ from .dataset import (
     CleaningPolicy,
     DataError,
     Dataset,
-    RowPolicy,
     SplitSpec,
     TargetFn,
     apply_normalization,
     load_csv,
+    require_field_types,
     synth_blobs,
     write_csv,
 )
@@ -60,21 +60,48 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------- config
 
 
-def _require(doc: dict, key: str, typ, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    value = doc[key]
-    if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, typ) or isinstance(value, bool) and typ is not bool:
-        raise ConfigError(f"{where}: key {key!r} must be {typ}, got {type(value).__name__}")
-    return value
+@dataclass(frozen=True)
+class RunFiles:
+    """The top-level file keys of the cluster, pipeline, sweep and stability
+    configs."""
+
+    input: str
+    target_column: str
+    output: str
+    id_column: str | None = None
+    model_output: str | None = None
+
+    def __post_init__(self):
+        require_field_types(self)
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+@dataclass(frozen=True)
+class SynthSpec:
+    k: int
+    per_cluster: int
+    d: int
+    separation: float
+    noise_std: float
+    output: str
+    target_fn: str = TargetFn.LINEAR_OF_CENTER.value
+    seed: int = 0
+
+    def __post_init__(self):
+        require_field_types(self)
+
+
+@dataclass(frozen=True)
+class EvaluateSpec:
+    input: str
+    output: str
+    pred_column: str = "pred"
+    actual_column: str = "actual"
+    outlier_threshold: float = 0.15
+
+    def __post_init__(self):
+        require_field_types(self)
+        if self.outlier_threshold <= 0:
+            raise ValueError(f"outlier_threshold must be positive, got {self.outlier_threshold!r}")
 
 
 def _load_config(path) -> dict:
@@ -93,41 +120,38 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _require_object(section, where: str) -> dict:
+def _object_section(section, where: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"config: section {where!r} must be an object")
     return section
 
 
-def _parse_section(doc: dict, cls, where: str):
-    """Builds the config dataclass cls from a section whose keys must be
-    among cls's fields; the dataclass validates the values."""
-    _require_object(doc, where)
-    _check_keys(doc, {f.name for f in fields(cls)}, where)
+def _parse_section(doc: dict, cls, where: str, shared: set[str] = frozenset()):
+    """Builds the config dataclass cls from the object doc, whose keys must
+    be cls's fields or `shared` keys, which other parsers read from the same
+    object. A field without a default must be present; the dataclass
+    checks the values."""
+    _object_section(doc, where)
+    names = {f.name for f in fields(cls)}
+    unknown = set(doc) - names - shared
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required key {f.name!r}")
     try:
-        return cls(**doc)
-    except (TypeError, ValueError) as e:
+        return cls(**{key: value for key, value in doc.items() if key in names})
+    except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _parse_cleaning(doc: dict) -> CleaningPolicy:
-    _require_object(doc, "cleaning")
-    _check_keys(doc, {"target_missing_sentinel", "feature_sentinels", "row_policy"}, "cleaning")
-    policy = doc.get("row_policy", "drop_row_if_any_sentinel")
-    try:
-        row_policy = RowPolicy(policy)
-    except ValueError:
-        raise ConfigError(f"cleaning: unknown row_policy {policy!r}") from None
-    try:
-        return CleaningPolicy(
-            target_missing_sentinel=float(doc.get("target_missing_sentinel", -9.999)),
-            feature_sentinels=frozenset(
-                float(v) for v in doc.get("feature_sentinels", [99.0, -99.0])
-            ),
-            row_policy=row_policy,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"cleaning: {e}") from e
+def _positive_ints(doc: dict, key: str) -> None:
+    """The check of the sweep's `widths` and of the stability study's `kmins`."""
+    values = doc.get(key)
+    if not isinstance(values, list) or not values or not all(
+        type(v) is int and v >= 1 for v in values
+    ):
+        raise ConfigError(f"config: {key} must be a non-empty list of positive integers, got {values!r}")
 
 
 ALGORITHM_CONFIGS = {
@@ -138,107 +162,60 @@ ALGORITHM_CONFIGS = {
 
 
 def _parse_algorithm(doc: dict) -> tuple[Algorithm, dict]:
-    name = _require(doc, "algorithm", str, "config")
+    name = doc.get("algorithm")
     try:
         algo = Algorithm(name)
     except ValueError:
-        raise ConfigError(f"config: unknown algorithm {name!r}") from None
-    if algo is Algorithm.KMEANS:
-        raise ConfigError("config: 'kmeans' is not a pipeline algorithm (it is parametric)")
+        choices = [a.value for a in Algorithm]
+        raise ConfigError(f"config: algorithm must be one of {choices}, got {name!r}") from None
     parsed = _parse_section(doc.get(algo.value, {}), ALGORITHM_CONFIGS[algo], algo.value)
     # xmeans is named even when unused: PipelineConfig defaults it to a config
     return algo, {"xmeans": None, algo.value: parsed}
 
 
-PIPELINE_KEYS = {
-    "schema_version",
-    "input",
-    "target_column",
-    "id_column",
-    "output",
-    "algorithm",
-    "xmeans",
-    "dbscan",
-    "meanshift",
-    "split",
-    "train",
-    "cleaning",
-    "validation_fraction",
-    "validation_seed",
-    "widths",
-    "kmins",
-    "model_output",
+# Top-level keys besides the RunFiles ones: those of every command, then
+# those of each command.
+PIPELINE_KEYS = {"schema_version", "split", "train", "cleaning", "validation_fraction", "validation_seed"}
+ALGORITHM_KEYS = {"algorithm", *(a.value for a in Algorithm)}
+COMMAND_KEYS = {
+    "cluster": ALGORITHM_KEYS,
+    "pipeline": ALGORITHM_KEYS,
+    "sweep": {"widths"},
+    "stability": ALGORITHM_KEYS | {"kmins"},
 }
 
 
-def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, dict]:
-    extra_forbidden = {
-        "cluster": {"widths", "kmins"},
-        "pipeline": {"widths", "kmins"},
-        "sweep": {"kmins", "algorithm", "xmeans", "dbscan", "meanshift"},
-        "stability": {"widths"},
-    }[command]
-    allowed = PIPELINE_KEYS - extra_forbidden
-    _check_keys(doc, allowed, "config")
-
-    io = {
-        "input": _require(doc, "input", str, "config"),
-        "target_column": _require(doc, "target_column", str, "config"),
-        "id_column": doc.get("id_column"),
-        "output": _require(doc, "output", str, "config"),
-        "model_output": doc.get("model_output"),
-        "widths": doc.get("widths"),
-        "kmins": doc.get("kmins"),
-    }
-    if io["id_column"] is not None and not isinstance(io["id_column"], str):
-        raise ConfigError("config: id_column must be a string or null")
-
+def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, RunFiles]:
+    """The config of cluster, pipeline, sweep or stability. The sweep's
+    `widths` and the study's `kmins` are checked here and read from doc."""
+    files = _parse_section(doc, RunFiles, "config", PIPELINE_KEYS | COMMAND_KEYS[command])
     split = _parse_section(doc.get("split", {}), SplitSpec, "split")
     train_cfg = _parse_section(doc.get("train", {}), TrainConfig, "train")
-    cleaning = _parse_cleaning(doc.get("cleaning", {}))
+    cleaning = _parse_section(doc.get("cleaning", {}), CleaningPolicy, "cleaning")
 
     if command == "sweep":
-        widths = io["widths"]
-        if not isinstance(widths, list) or not widths or not all(
-            isinstance(w, int) and w >= 1 for w in widths
-        ):
-            raise ConfigError("config: sweep requires a non-empty list of positive 'widths'")
-        cfg = PipelineConfig(
-            algorithm=Algorithm.XMEANS,
-            xmeans=XMeansConfig(),
-            split=split,
-            train_cfg=train_cfg,
-            cleaning=cleaning,
-        )
-        return cfg, io
+        _positive_ints(doc, "widths")
+        return PipelineConfig(split=split, train_cfg=train_cfg, cleaning=cleaning), files
 
     algo, algo_kwargs = _parse_algorithm(doc)
     if command == "stability":
-        kmins = io["kmins"]
         if algo is not Algorithm.XMEANS:
             raise ConfigError("config: stability requires algorithm 'xmeans'")
-        if not isinstance(kmins, list) or not kmins or not all(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in kmins
-        ):
-            raise ConfigError("config: stability requires a non-empty list of positive 'kmins'")
+        _positive_ints(doc, "kmins")
 
+    validation = {k: doc[k] for k in ("validation_fraction", "validation_seed") if k in doc}
     try:
         cfg = PipelineConfig(
             algorithm=algo,
             split=split,
             train_cfg=train_cfg,
             cleaning=cleaning,
-            validation_fraction=(
-                _require(doc, "validation_fraction", float, "config")
-                if "validation_fraction" in doc
-                else 0.2
-            ),
-            validation_seed=doc.get("validation_seed", 1),
+            **validation,
             **algo_kwargs,
         )
     except ValueError as e:
         raise ConfigError(f"config: {e}") from e
-    return cfg, io
+    return cfg, files
 
 
 # ---------------------------------------------------------------- reports
@@ -278,15 +255,15 @@ def _header(config_doc: dict, timings: dict) -> dict:
     }
 
 
-def _load_input(io: dict) -> Dataset:
-    return load_csv(io["input"], io["target_column"], io["id_column"])
+def _load_input(files: RunFiles) -> Dataset:
+    return load_csv(files.input, files.target_column, files.id_column)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_cluster(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
-    train_raw, _, norm = constructor.prepare(_load_input(io), cfg.split, cfg.cleaning)
+def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+    train_raw, _, norm = constructor.prepare(_load_input(files), cfg.split, cfg.cleaning)
     train_norm = apply_normalization(train_raw, norm)
     start = time.perf_counter()
     _, result = constructor.construct_architecture(train_norm, cfg)
@@ -301,17 +278,17 @@ def cmd_cluster(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
         "labels": result.labels.tolist(),
         "row_ids": list(train_raw.row_ids),
     }
-    _write_report(io["output"], body, _header(config_doc, {"clustering": clustering_seconds}))
+    _write_report(files.output, body, _header(config_doc, {"clustering": clustering_seconds}))
     print(f"clustering: {result.algorithm.value}  k={result.k}  "
           f"time={clustering_seconds:.3f}s  sizes={sizes.tolist()}")
     return EXIT_OK
 
 
-def cmd_pipeline(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
-    ds = _load_input(io)
+def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+    ds = _load_input(files)
     report, model = constructor.run_pipeline_with_model(ds, cfg)
-    if io.get("model_output"):
-        mlp.save_model(model, io["model_output"])
+    if files.model_output:
+        mlp.save_model(model, files.model_output)
     body = {
         "architecture": str(report.spec),
         "k": report.k,
@@ -325,7 +302,7 @@ def cmd_pipeline(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
         "clustering": report.clustering_seconds,
         "training": report.training_seconds,
     }
-    _write_report(io["output"], body, _header(config_doc, timings))
+    _write_report(files.output, body, _header(config_doc, timings))
 
     t = report.metrics_test
     print(f"architecture {report.spec}  (k={report.k} clusters)")
@@ -335,10 +312,10 @@ def cmd_pipeline(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
-    ds = _load_input(io)
+def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+    ds = _load_input(files)
     report = constructor.sweep_hidden(
-        ds, io["widths"], cfg.split, cfg.train_cfg, cleaning=cfg.cleaning
+        ds, config_doc["widths"], cfg.split, cfg.train_cfg, cleaning=cfg.cleaning
     )
     body = {
         "entries": [
@@ -354,7 +331,7 @@ def cmd_sweep(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
     timings = {
         "training_per_width": {str(e.hidden_width): e.training_seconds for e in report.entries}
     }
-    _write_report(io["output"], body, _header(config_doc, timings))
+    _write_report(files.output, body, _header(config_doc, timings))
     print(f"{'width':>6} {'rms_test':>10} {'corr':>8} {'time_s':>8}")
     for e in report.entries:
         print(f"{e.hidden_width:>6} {e.rms_test:>10.4f} {e.correlation:>8.4f} {e.training_seconds:>8.2f}")
@@ -362,9 +339,9 @@ def cmd_sweep(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stability(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
-    ds = _load_input(io)
-    rows = constructor.kmin_stability(ds, io["kmins"], cfg)
+def cmd_stability(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+    ds = _load_input(files)
+    rows = constructor.kmin_stability(ds, config_doc["kmins"], cfg)
     body = {
         "split_seed": cfg.split.seed,
         "rows": [{"kmin": r.kmin, "k": r.k} for r in rows],
@@ -375,88 +352,55 @@ def cmd_stability(config_doc: dict, io: dict, cfg: PipelineConfig) -> int:
             for r in rows
         }
     }
-    _write_report(io["output"], body, _header(config_doc, timings))
+    _write_report(files.output, body, _header(config_doc, timings))
     print(f"{'kmin':>5} {'k':>4} {'cluster_s':>10} {'train_s':>9}")
     for r in rows:
         print(f"{r.kmin:>5} {r.k:>4} {r.clustering_seconds:>10.3f} {r.training_seconds:>9.2f}")
     return EXIT_OK
 
 
-SYNTH_KEYS = {
-    "schema_version",
-    "k",
-    "per_cluster",
-    "d",
-    "separation",
-    "noise_std",
-    "target_fn",
-    "seed",
-    "output",
-}
-
-
 def cmd_synth(config_doc: dict) -> int:
-    _check_keys(config_doc, SYNTH_KEYS, "config")
-    k = _require(config_doc, "k", int, "config")
-    per_cluster = _require(config_doc, "per_cluster", int, "config")
-    d = _require(config_doc, "d", int, "config")
-    separation = _require(config_doc, "separation", float, "config")
-    noise_std = _require(config_doc, "noise_std", float, "config")
-    output = _require(config_doc, "output", str, "config")
-    fn_name = config_doc.get("target_fn", "linear_of_center")
+    spec = _parse_section(config_doc, SynthSpec, "config", {"schema_version"})
     try:
-        target_fn = TargetFn(fn_name)
+        target_fn = TargetFn(spec.target_fn)
     except ValueError:
-        raise ConfigError(f"config: unknown target_fn {fn_name!r}") from None
-    seed = _require(config_doc, "seed", int, "config") if "seed" in config_doc else 0
+        raise ConfigError(f"config: unknown target_fn {spec.target_fn!r}") from None
     try:
-        ds = synth_blobs(k, per_cluster, d, separation, noise_std, target_fn, seed)
+        ds = synth_blobs(
+            spec.k, spec.per_cluster, spec.d, spec.separation, spec.noise_std, target_fn, spec.seed
+        )
     except ValueError as e:
         raise ConfigError(f"config: {e}") from e
 
-    out = Path(output)
+    out = Path(spec.output)
     write_csv(ds, out, target_column="target")
     sidecar = out.with_suffix(out.suffix + ".meta.json")
     sidecar.write_text(
         json.dumps(
-            {"true_k": k, "per_cluster": per_cluster, "d": d, "seed": seed,
-             "separation": separation, "noise_std": noise_std, "target_fn": fn_name},
+            {"true_k": spec.k, "per_cluster": spec.per_cluster, "d": spec.d, "seed": spec.seed,
+             "separation": spec.separation, "noise_std": spec.noise_std,
+             "target_fn": spec.target_fn},
             indent=1, sort_keys=True,
         ) + "\n",
         encoding="utf-8",
     )
-    print(f"wrote {ds.n} rows to {out} (true k={k}; metadata in {sidecar.name})")
+    print(f"wrote {ds.n} rows to {out} (true k={spec.k}; metadata in {sidecar.name})")
     return EXIT_OK
 
 
-EVALUATE_KEYS = {
-    "schema_version",
-    "input",
-    "pred_column",
-    "actual_column",
-    "output",
-    "outlier_threshold",
-}
-
-
 def cmd_evaluate(config_doc: dict) -> int:
-    _check_keys(config_doc, EVALUATE_KEYS, "config")
-    input_path = _require(config_doc, "input", str, "config")
-    pred_col = config_doc.get("pred_column", "pred")
-    actual_col = config_doc.get("actual_column", "actual")
-    output = _require(config_doc, "output", str, "config")
-    threshold = float(config_doc.get("outlier_threshold", 0.15))
-
-    ds = load_csv(input_path, target_column=actual_col)
-    if pred_col not in ds.feature_names:
-        raise DataError(f"{input_path}: prediction column {pred_col!r} not found")
-    pred = ds.features[:, ds.feature_names.index(pred_col)]
+    spec = _parse_section(config_doc, EvaluateSpec, "config", {"schema_version"})
+    ds = load_csv(spec.input, target_column=spec.actual_column)
+    if spec.pred_column not in ds.feature_names:
+        raise DataError(f"{spec.input}: prediction column {spec.pred_column!r} not found")
+    pred = ds.features[:, ds.feature_names.index(spec.pred_column)]
+    threshold = spec.outlier_threshold
     try:
         block = metrics.metric_block(pred, ds.targets, threshold)
     except ValueError as e:
         raise NumericalError(str(e)) from e
     body = {"metrics": _metric_dict(block), "outlier_threshold": threshold}
-    _write_report(output, body, _header(config_doc, {}))
+    _write_report(spec.output, body, _header(config_doc, {}))
     print(f"n={block.n}  rms={block.rms:.4f}  norm_rms={block.norm_rms:.4f}  "
           f"bias={block.bias:.4f}  outliers>{threshold}={block.outlier_fraction:.2%}  "
           f"corr={block.correlation:.4f}")
@@ -506,16 +450,16 @@ def main(argv: list[str] | None = None) -> int:
             doc.pop("split", None)
             return cmd_evaluate(doc)
         if args.seed is not None:
-            _require_object(doc.setdefault("split", {}), "split")["seed"] = args.seed
+            _object_section(doc.setdefault("split", {}), "split")["seed"] = args.seed
 
-        cfg, io = _parse_pipeline_config(doc, args.command)
+        cfg, files = _parse_pipeline_config(doc, args.command)
         handler = {
             "cluster": cmd_cluster,
             "pipeline": cmd_pipeline,
             "sweep": cmd_sweep,
             "stability": cmd_stability,
         }[args.command]
-        return handler(doc, io, cfg)
+        return handler(doc, files, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

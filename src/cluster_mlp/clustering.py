@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import require_int_fields
+from .dataset import require_field_types
 
 
 class ClusteringError(Exception):
@@ -21,7 +21,6 @@ class ClusteringError(Exception):
 
 
 class Algorithm(enum.Enum):
-    KMEANS = "kmeans"
     XMEANS = "xmeans"
     DBSCAN = "dbscan"
     MEANSHIFT = "meanshift"
@@ -60,7 +59,7 @@ class XMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if self.kmin < 1 or self.kmax < self.kmin:
             raise ValueError("need 1 <= kmin <= kmax")
         if self.max_split_rounds < 1 or self.kmeans_max_iter < 1 or self.kmeans_tol <= 0:
@@ -73,7 +72,7 @@ class DbscanConfig:
     min_pts: int
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if self.eps <= 0 or self.min_pts < 1:
             raise ValueError("need eps > 0 and min_pts >= 1")
 
@@ -86,32 +85,25 @@ class MeanShiftConfig:
     merge_radius: float | None = None  # defaults to bandwidth / 2
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if self.merge_radius is None:
             object.__setattr__(self, "merge_radius", self.bandwidth / 2.0)
         if min(self.bandwidth, self.shift_tol, self.max_iter, self.merge_radius) <= 0:
             raise ValueError("all mean-shift parameters must be positive")
 
 
-def _fast_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 via one matmul; cheaper than the
-    # broadcast difference when n*k is large. Clamped: cancellation can produce
-    # tiny negatives. Used where only the argmin / relative ordering matters.
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * (points @ centers.T)
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def _weighted_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded distance-weighted seeding: each next center drawn with
     probability proportional to squared distance to the nearest chosen one."""
     n = points.shape[0]
+    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 via one matmul, clamped:
+    # cancellation can produce tiny negatives.
+    points_sq = (points * points).sum(axis=1)[:, None]
     centers = [points[rng.integers(n)]]
     for _ in range(1, k):
-        d2 = _fast_sq_dists(points, np.array(centers)).min(axis=1)
+        chosen = np.array(centers)
+        d2 = points_sq - 2.0 * (points @ chosen.T) + (chosen * chosen).sum(axis=1)[None, :]
+        d2 = np.maximum(d2, 0.0, out=d2).min(axis=1)
         total = d2.sum()
         if total <= 0:
             centers.append(points[rng.integers(n)])
@@ -190,7 +182,8 @@ def kmeans(
     seed: int = 0,
     max_iter: int = 300,
     tol: float = 1e-6,
-) -> ClusteringResult:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd from distance-weighted seeding; returns (labels, centroids)."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if k < 1:
@@ -200,7 +193,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     init = _weighted_init(points, k, rng)
     labels, centroids, _ = lloyd(points, init, max_iter, tol)
-    return ClusteringResult(labels, centroids, k, Algorithm.KMEANS)
+    return labels, centroids
 
 
 def bic_score(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
@@ -300,9 +293,9 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         raise ClusteringError(f"kmin={cfg.kmin} exceeds the number of points n={n}")
     rng = np.random.default_rng(cfg.seed)
 
-    base = kmeans(points, cfg.kmin, seed=cfg.seed, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol)
+    base_labels, _ = kmeans(points, cfg.kmin, cfg.seed, cfg.kmeans_max_iter, cfg.kmeans_tol)
     clusters: list[np.ndarray] = [
-        np.flatnonzero(base.labels == j) for j in range(cfg.kmin)
+        np.flatnonzero(base_labels == j) for j in range(cfg.kmin)
     ]
     centroids: list[np.ndarray] = [points[idx].mean(axis=0) for idx in clusters]
     # Splits never reassign points across clusters, so a refused cluster
@@ -457,10 +450,3 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
             assigned = len(modes) - 1
         labels[i] = assigned
     return ClusteringResult(labels, np.array(modes), len(modes), Algorithm.MEANSHIFT)
-
-
-def cluster_count(r: ClusteringResult) -> int:
-    """Number of proper clusters, excluding the DBSCAN noise pseudo-cluster."""
-    if r.k < 1:
-        raise ClusteringError("no clusters; architecture undefined")
-    return r.k

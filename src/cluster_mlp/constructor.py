@@ -15,11 +15,11 @@ import numpy as np
 from . import clustering, metrics, mlp
 from .clustering import (
     Algorithm,
+    ClusteringError,
     ClusteringResult,
     DbscanConfig,
     MeanShiftConfig,
     XMeansConfig,
-    cluster_count,
 )
 from .dataset import (
     CleaningPolicy,
@@ -31,7 +31,7 @@ from .dataset import (
     filter_labeled,
     fit_normalization,
     holdout_split,
-    require_int_fields,
+    require_field_types,
 )
 from .metrics import MetricBlock
 from .mlp import NetworkSpec, TrainConfig
@@ -57,7 +57,7 @@ class PipelineConfig:
     validation_seed: int = 1
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         present = {
             Algorithm.XMEANS: self.xmeans,
             Algorithm.DBSCAN: self.dbscan,
@@ -125,8 +125,9 @@ def construct_architecture(
     """Clusters the (normalized) training features only; the hidden width is
     the resulting cluster count. Targets never enter the clustering input."""
     result = _run_clustering(train.features, cfg)
-    k = cluster_count(result)
-    return NetworkSpec(input_width=train.d, hidden_width=k), result
+    if result.k < 1:  # DBSCAN labelled every point noise
+        raise ClusteringError("no clusters; architecture undefined")
+    return NetworkSpec(input_width=train.d, hidden_width=result.k), result
 
 
 def prepare(

@@ -23,16 +23,40 @@ class DataError(Exception):
     """Raised for unreadable, malformed, or emptied-out datasets."""
 
 
-def require_int_fields(cfg) -> None:
-    """Raises ValueError naming the first field of the dataclass cfg that is
-    annotated int but holds no integer: bool, float and str are refused,
-    Python and numpy integers pass."""
+# For each annotation a config field's value is checked against: the types
+# it takes and how an error message names them.
+_KINDS = {
+    "int": ((int, np.integer), "an integer"),
+    "float": ((int, float, np.integer, np.floating), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+def _checked(name: str, value, kind: str, nullable: bool = False):
+    """value as a config field annotated kind stores it, or ValueError naming
+    the field. bool is never a number. A float field stores a float, so 1
+    and 1.0 configure alike."""
+    types, noun = _KINDS[kind]
+    if nullable and value is None:
+        return None
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            return float(value) if kind == "float" else value
+        except OverflowError:
+            pass  # an integer beyond the range of a double
+    raise ValueError(f"{name} must be {noun}{' or None' if nullable else ''}, got {value!r}")
+
+
+def require_field_types(cfg) -> None:
+    """Checks each field of the dataclass cfg annotated int, float or str, or
+    one of them `| None`, against its annotation (see _checked); fields of
+    other types are left to the dataclass. Annotations are read as the
+    strings that postponed evaluation leaves."""
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type not in ("int", int):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        kind, _, rest = f.type.partition(" | ")
+        if kind in _KINDS:
+            value = _checked(f.name, getattr(cfg, f.name), kind, nullable=rest == "None")
+            object.__setattr__(cfg, f.name, value)
 
 
 class RowPolicy(enum.Enum):
@@ -91,6 +115,17 @@ class CleaningPolicy:
     row_policy: RowPolicy = RowPolicy.DROP_ROW_IF_ANY_SENTINEL
 
     def __post_init__(self):
+        # Also takes the JSON forms: a list of numbers and a policy's name.
+        require_field_types(self)
+        sentinels = self.feature_sentinels
+        if not isinstance(sentinels, (list, frozenset)):
+            raise ValueError(f"feature_sentinels must be a list of numbers, got {sentinels!r}")
+        sentinels = frozenset(_checked("feature_sentinels", v, "float") for v in sentinels)
+        object.__setattr__(self, "feature_sentinels", sentinels)
+        try:
+            object.__setattr__(self, "row_policy", RowPolicy(self.row_policy))
+        except ValueError:
+            raise ValueError(f"unknown row_policy {self.row_policy!r}") from None
         if self.row_policy is RowPolicy.DROP_ROW_IF_ANY_SENTINEL and not self.feature_sentinels:
             raise ValueError("feature_sentinels must be non-empty for the dropping policy")
 
@@ -121,7 +156,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         if self.seed < 0:
@@ -291,18 +326,6 @@ def apply_normalization(ds: Dataset, p: NormalizationParams) -> Dataset:
     return Dataset(
         features=(ds.features - p.center) / p.scale,
         targets=(ds.targets - p.target_center) / p.target_scale,
-        feature_names=ds.feature_names,
-        row_ids=ds.row_ids,
-        metadata=dict(ds.metadata),
-    )
-
-
-def invert_normalization(ds: Dataset, p: NormalizationParams) -> Dataset:
-    if ds.d != p.d:
-        raise DataError(f"dimension mismatch: dataset d={ds.d}, params d={p.d}")
-    return Dataset(
-        features=ds.features * p.scale + p.center,
-        targets=ds.targets * p.target_scale + p.target_center,
         feature_names=ds.feature_names,
         row_ids=ds.row_ids,
         metadata=dict(ds.metadata),

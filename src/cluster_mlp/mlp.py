@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, NormalizationParams, fit_normalization, require_int_fields
+from .dataset import Dataset, NormalizationParams, fit_normalization, require_field_types
 
 MODEL_FORMAT_VERSION = 1
 
@@ -80,7 +80,7 @@ class TrainConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
             raise ValueError("need 0 < c1 < c2 < 1")
         if self.lbfgs_memory < 1 or self.max_iter < 1 or self.restarts < 1:

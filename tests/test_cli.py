@@ -234,11 +234,24 @@ class TestSynth:
     def test_non_integer_seed_is_config_error(self, tmp_path, capsys, seed):
         cfg = write_config(tmp_path, "g.json", self.synth_doc(tmp_path, seed=seed))
         assert main(["synth", str(cfg)]) == EXIT_CONFIG
-        assert "key 'seed' must be" in capsys.readouterr().err
+        assert "config: seed must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "synth.csv").exists()
 
 
+def evaluate_config(tmp_path, **extra):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("pred,actual\n0.2,0.0\n0.1,0.1\n0.5,0.4\n")
+    doc = {"schema_version": 1, "input": str(preds), "output": str(tmp_path / "report.json")}
+    doc.update(extra)
+    return doc
+
+
 class TestEvaluate:
+    def test_integer_threshold_reported_as_number(self, tmp_path):
+        cfg = write_config(tmp_path, "e.json", evaluate_config(tmp_path, outlier_threshold=1))
+        assert main(["evaluate", str(cfg)]) == EXIT_OK
+        assert repr(read_report(tmp_path)["body"]["outlier_threshold"]) == "1.0"
+
     def test_metrics_on_predictions_file(self, tmp_path):
         preds = tmp_path / "preds.csv"
         preds.write_text("pred,actual\n0.2,0.0\n0.1,0.1\n0.5,0.4\n")
@@ -337,7 +350,7 @@ class TestConfigValidation:
         doc = pipeline_config(blob_csv, tmp_path, validation_fraction=value)
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
-        assert "config: key 'validation_fraction' must be" in capsys.readouterr().err
+        assert "config: validation_fraction must be a number" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_integer_validation_fraction_accepted(self, blob_csv, tmp_path):
@@ -357,9 +370,70 @@ class TestConfigValidation:
         assert main(["pipeline", str(cfg), "--seed", "3"]) == EXIT_CONFIG
         assert "config: section 'split' must be an object" in capsys.readouterr().err
 
+    def test_kmeans_is_not_an_algorithm(self, blob_csv, tmp_path, capsys):
+        doc = pipeline_config(blob_csv, tmp_path, algorithm="kmeans")
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert "'kmeans'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("section, key", [(None, "target_column"), ("dbscan", "eps")])
+    def test_missing_required_key(self, blob_csv, tmp_path, capsys, section, key):
+        doc = pipeline_config(blob_csv, tmp_path)
+        if section == "dbscan":
+            del doc["xmeans"]
+            doc["algorithm"] = "dbscan"
+            doc["dbscan"] = {"eps": 0.5, "min_pts": 3}
+        del (doc[section] if section else doc)[key]
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
+        assert f"{section or 'config'}: missing required key {key!r}" in capsys.readouterr().err
+
     def test_no_side_effects_on_invalid_config(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path)
         doc["xmeans"]["kmin"] = -3
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "report.json").exists()
+
+
+# Configs refused at the typed boundary: (command, section, or None for the
+# top level, field, refused value).
+BOUNDARY_CASES = [
+    ("pipeline", "dbscan", "eps", True),
+    ("pipeline", "meanshift", "bandwidth", True),
+    ("pipeline", "train", "grad_tol", True),
+    ("pipeline", "cleaning", "feature_sentinels", "99"),
+    ("pipeline", "cleaning", "target_missing_sentinel", True),
+    ("pipeline", None, "model_output", 5),
+    ("sweep", None, "widths", [True, 2]),
+    ("evaluate", None, "outlier_threshold", "0.2"),
+    ("evaluate", None, "outlier_threshold", True),
+    ("evaluate", None, "outlier_threshold", [1]),
+    ("evaluate", None, "outlier_threshold", 0),
+    ("evaluate", None, "pred_column", 5),
+    ("evaluate", None, "actual_column", ["a"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    BOUNDARY_CASES,
+    ids=[f"{c}-{k}={v!r}" for c, _, k, v in BOUNDARY_CASES],
+)
+def test_typed_boundary_refuses(blob_csv, tmp_path, capsys, command, section, key, value):
+    if command == "evaluate":
+        doc = evaluate_config(tmp_path)
+    else:
+        doc = pipeline_config(blob_csv, tmp_path)
+    if command == "sweep":
+        del doc["algorithm"], doc["xmeans"]
+    if section in ("dbscan", "meanshift"):
+        del doc["xmeans"]
+        doc["algorithm"] = section
+        doc[section] = {"dbscan": {"eps": 0.5, "min_pts": 3}, "meanshift": {"bandwidth": 0.5}}[section]
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    assert f"{section or 'config'}: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

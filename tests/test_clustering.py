@@ -12,7 +12,6 @@ from cluster_mlp.clustering import (
     MeanShiftConfig,
     XMeansConfig,
     bic_score,
-    cluster_count,
     dbscan,
     kmeans,
     lloyd,
@@ -200,15 +199,15 @@ def dbscan_cases():
 class TestKmeans:
     def test_two_blob_optimum(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        r = kmeans(pts, 2, seed=0)
-        got = sorted(map(tuple, np.round(r.representatives, 6)))
+        _, centroids = kmeans(pts, 2, seed=0)
+        got = sorted(map(tuple, np.round(centroids, 6)))
         assert got == [(0.0, 0.5), (10.0, 0.5)]
 
     def test_k_equals_n(self):
         pts = np.array([[0.0], [1.0], [5.0]])
-        r = kmeans(pts, 3, seed=0)
+        labels, centroids = kmeans(pts, 3, seed=0)
         wcss = sum(
-            np.sum((pts[r.labels == j] - r.representatives[j]) ** 2) for j in range(3)
+            np.sum((pts[labels == j] - centroids[j]) ** 2) for j in range(3)
         )
         assert wcss == pytest.approx(0.0, abs=1e-12)
 
@@ -520,36 +519,6 @@ class TestMeanshift:
         assert cfg.merge_radius == 1.0
 
 
-class TestClusterCount:
-    def test_passthrough(self):
-        r = ClusteringResult(
-            labels=np.array([0, 1, 0]),
-            representatives=np.zeros((2, 1)),
-            k=2,
-            algorithm=Algorithm.XMEANS,
-        )
-        assert cluster_count(r) == 2
-
-    def test_noise_excluded(self):
-        r = ClusteringResult(
-            labels=np.array([0, 1, -1]),
-            representatives=np.zeros((2, 1)),
-            k=2,
-            algorithm=Algorithm.DBSCAN,
-        )
-        assert cluster_count(r) == 2
-
-    def test_all_noise_errors(self):
-        r = ClusteringResult(
-            labels=np.array([-1, -1]),
-            representatives=np.zeros((0, 1)),
-            k=0,
-            algorithm=Algorithm.DBSCAN,
-        )
-        with pytest.raises(ClusteringError, match="no clusters"):
-            cluster_count(r)
-
-
 class TestResultInvariants:
     def test_noise_only_for_dbscan(self):
         with pytest.raises(ClusteringError):
@@ -566,5 +535,5 @@ class TestResultInvariants:
                 labels=np.array([0, 0]),
                 representatives=np.zeros((2, 1)),
                 k=2,
-                algorithm=Algorithm.KMEANS,
+                algorithm=Algorithm.XMEANS,
             )

@@ -89,7 +89,7 @@ class TestConstructArchitecture:
         )
         from cluster_mlp.clustering import ClusteringError
 
-        with pytest.raises(ClusteringError):
+        with pytest.raises(ClusteringError, match="no clusters"):
             construct_architecture(norm, cfg)
 
 

@@ -1,8 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cluster_mlp.cli import EvaluateSpec, RunFiles, SynthSpec
+from cluster_mlp.clustering import DbscanConfig, MeanShiftConfig, XMeansConfig
+from cluster_mlp.constructor import PipelineConfig
 from cluster_mlp.dataset import (
     CleaningPolicy,
     DataError,
@@ -18,11 +23,11 @@ from cluster_mlp.dataset import (
     filter_labeled,
     fit_normalization,
     holdout_split,
-    invert_normalization,
     load_csv,
     synth_blobs,
     write_csv,
 )
+from cluster_mlp.mlp import TrainConfig
 
 
 def make_ds(features, targets):
@@ -294,14 +299,6 @@ class TestNormalization:
             assert p.center[j] == pytest.approx(mean, rel=1e-12)
             assert p.scale[j] == pytest.approx(var**0.5, rel=1e-12)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        ds = make_ds(rng.normal(5, 3, size=(20, 3)), rng.normal(size=20))
-        p = fit_normalization(ds)
-        back = invert_normalization(apply_normalization(ds, p), p)
-        assert np.allclose(back.features, ds.features, rtol=1e-12, atol=1e-12)
-        assert np.allclose(back.targets, ds.targets, rtol=1e-12, atol=1e-12)
-
     def test_fitted_set_has_zero_mean(self):
         rng = np.random.default_rng(2)
         ds = make_ds(rng.normal(size=(30, 2)), rng.normal(size=30))
@@ -373,3 +370,70 @@ class TestCsvRoundTrip:
         back = load_csv(p, target_column="target")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.targets, ds.targets)
+
+
+# Every config dataclass, with the arguments of one valid instance.
+CONFIG_CLASSES = [
+    (SplitSpec, {}),
+    (CleaningPolicy, {}),
+    (XMeansConfig, {}),
+    (DbscanConfig, {"eps": 0.5, "min_pts": 3}),
+    (MeanShiftConfig, {"bandwidth": 0.5}),
+    (TrainConfig, {}),
+    (PipelineConfig, {}),
+    (RunFiles, {"input": "in.csv", "target_column": "y", "output": "out.json"}),
+    (SynthSpec, {"k": 2, "per_cluster": 5, "d": 2, "separation": 10.0, "noise_std": 1.0, "output": "s.csv"}),
+    (EvaluateSpec, {"input": "p.csv", "output": "out.json"}),
+]
+
+# Values of the wrong JSON type for a field of each annotation.
+WRONG_TYPES = {
+    "int": [True, "1", [1], 2.5],
+    "float": [True, "1", [1]],
+    "str": [True, 1, [1]],
+}
+
+TYPED_FIELDS = [
+    (cls, kwargs, f.name, bad)
+    for cls, kwargs in CONFIG_CLASSES
+    for f in fields(cls)
+    for bad in WRONG_TYPES.get(f.type.split(" | ")[0], [])
+]
+
+
+class TestRequireFieldTypes:
+    @pytest.mark.parametrize(
+        "cls, kwargs, name, bad",
+        TYPED_FIELDS,
+        ids=[f"{cls.__name__}.{name}={bad!r}" for cls, _, name, bad in TYPED_FIELDS],
+    )
+    def test_wrong_type_names_the_field(self, cls, kwargs, name, bad):
+        cls(**kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            cls(**{**kwargs, name: bad})
+
+    def test_float_field_stores_a_float(self):
+        cfg = DbscanConfig(eps=1, min_pts=np.int64(3))
+        assert type(cfg.eps) is float and cfg.eps == 1.0
+        assert cfg.min_pts == 3
+
+    def test_integer_beyond_a_double_is_refused(self):
+        with pytest.raises(ValueError, match="^grad_tol must be a number"):
+            TrainConfig(grad_tol=10**400)
+
+
+class TestCleaningPolicyJsonForms:
+    def test_list_and_policy_name(self):
+        policy = CleaningPolicy(feature_sentinels=[99, -99.0], row_policy="keep_rows")
+        assert policy.feature_sentinels == frozenset({99.0, -99.0})
+        assert all(type(v) is float for v in policy.feature_sentinels)
+        assert policy.row_policy is RowPolicy.KEEP_ROWS
+
+    @pytest.mark.parametrize("sentinels", ["99", 99, [99, "x"], [True]])
+    def test_sentinels_must_be_a_list_of_numbers(self, sentinels):
+        with pytest.raises(ValueError, match="^feature_sentinels must be"):
+            CleaningPolicy(feature_sentinels=sentinels)
+
+    def test_unknown_row_policy(self):
+        with pytest.raises(ValueError, match="unknown row_policy 'drop'"):
+            CleaningPolicy(row_policy="drop")
