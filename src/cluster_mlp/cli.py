@@ -416,19 +416,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regression MLPs sized by non-parametric clustering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("cluster", "run the configured clustering on the training split"),
-        ("pipeline", "full run: clean, split, cluster, size, train, evaluate"),
-        ("sweep", "ad-hoc baseline: train one model per hidden width"),
-        ("stability", "X-means cluster count vs kmin study"),
-        ("synth", "generate a synthetic blob dataset as CSV"),
-        ("evaluate", "metrics for a predictions CSV"),
+    for name, doc, seeded in [
+        ("cluster", "run the configured clustering on the training split", "the split seed"),
+        ("pipeline", "full run: clean, split, cluster, size, train, evaluate", "the split seed"),
+        ("sweep", "ad-hoc baseline: train one model per hidden width", "the split seed"),
+        ("stability", "X-means cluster count vs kmin study", "the split seed"),
+        ("synth", "generate a synthetic blob dataset as CSV", "the blob seed"),
+        ("evaluate", "metrics for a predictions CSV", None),  # nothing to seed
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("config", help="path to the JSON config document")
         p.add_argument("--input", help="override the input path")
         p.add_argument("--output", help="override the output path")
-        p.add_argument("--seed", type=int, help="override the split seed")
+        if seeded:
+            p.add_argument("--seed", type=int, help=f"override {seeded}")
     return parser
 
 
@@ -441,14 +442,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is not None:
             doc["output"] = args.output
 
+        if args.command == "evaluate":
+            return cmd_evaluate(doc)
         if args.command == "synth":
             if args.seed is not None:
-                doc.pop("split", None)
                 doc["seed"] = args.seed
             return cmd_synth(doc)
-        if args.command == "evaluate":
-            doc.pop("split", None)
-            return cmd_evaluate(doc)
         if args.seed is not None:
             _object_section(doc.setdefault("split", {}), "split")["seed"] = args.seed
 

@@ -34,16 +34,20 @@ _KINDS = {
 
 def _checked(name: str, value, kind: str, nullable: bool = False):
     """value as a config field annotated kind stores it, or ValueError naming
-    the field. bool is never a number. A float field stores a float, so 1
-    and 1.0 configure alike."""
+    the field. bool is never a number. A float field stores a finite float,
+    so 1 and 1.0 configure alike and JSON's NaN and Infinity are refused."""
     types, noun = _KINDS[kind]
     if nullable and value is None:
         return None
     if isinstance(value, types) and not isinstance(value, bool):
         try:
-            return float(value) if kind == "float" else value
+            value = float(value) if kind == "float" else value
         except OverflowError:
             pass  # an integer beyond the range of a double
+        else:
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            return value
     raise ValueError(f"{name} must be {noun}{' or None' if nullable else ''}, got {value!r}")
 
 

@@ -230,6 +230,17 @@ class TestSynth:
         cfg = write_config(tmp_path, "g.json", self.synth_doc(tmp_path, separation=-1.0))
         assert main(["synth", str(cfg)]) == EXIT_CONFIG
 
+    def test_seed_flag_overrides_seed(self, tmp_path):
+        cfg = write_config(tmp_path, "g.json", self.synth_doc(tmp_path))
+        assert main(["synth", str(cfg), "--seed", "5"]) == EXIT_OK
+        assert json.loads((tmp_path / "synth.csv.meta.json").read_text())["seed"] == 5
+
+    def test_split_is_an_unknown_key_under_seed_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "g.json", self.synth_doc(tmp_path, split={"seed": 0}))
+        assert main(["synth", str(cfg), "--seed", "5"]) == EXIT_CONFIG
+        assert "config: unknown keys ['split']" in capsys.readouterr().err
+        assert not (tmp_path / "synth.csv").exists()
+
     @pytest.mark.parametrize("seed", [2.5, "3", True])
     def test_non_integer_seed_is_config_error(self, tmp_path, capsys, seed):
         cfg = write_config(tmp_path, "g.json", self.synth_doc(tmp_path, seed=seed))
@@ -277,6 +288,22 @@ class TestEvaluate:
         }
         cfg = write_config(tmp_path, "e.json", doc)
         assert main(["evaluate", str(cfg)]) == EXIT_NUMERICAL
+
+
+    def test_split_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "e.json", evaluate_config(tmp_path, split={"folds": "x"}))
+        assert main(["evaluate", str(cfg)]) == EXIT_CONFIG
+        assert "config: unknown keys ['split']" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_seed_flag_refused(self, tmp_path, capsys):
+        # evaluate has nothing to seed
+        cfg = write_config(tmp_path, "e.json", evaluate_config(tmp_path))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", str(cfg), "--seed", "3"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestConfigValidation:
@@ -411,6 +438,14 @@ BOUNDARY_CASES = [
     ("evaluate", None, "outlier_threshold", True),
     ("evaluate", None, "outlier_threshold", [1]),
     ("evaluate", None, "outlier_threshold", 0),
+    ("evaluate", None, "outlier_threshold", float("nan")),
+    ("evaluate", None, "outlier_threshold", float("inf")),
+    ("pipeline", "dbscan", "eps", float("nan")),
+    ("pipeline", "meanshift", "bandwidth", float("nan")),
+    ("pipeline", "meanshift", "merge_radius", float("inf")),
+    ("pipeline", "train", "grad_tol", float("nan")),
+    ("pipeline", "cleaning", "feature_sentinels", [99, float("nan")]),
+    ("pipeline", "cleaning", "target_missing_sentinel", -float("inf")),
     ("evaluate", None, "pred_column", 5),
     ("evaluate", None, "actual_column", ["a"]),
 ]

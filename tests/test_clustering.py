@@ -143,6 +143,60 @@ def seed_lloyd(points, init_centroids, max_iter, tol):
     return labels, centroids, history
 
 
+def seed_meanshift(points, cfg):
+    """Bit-level oracle: MeanShift as first written, one seed at a time to
+    convergence. Returns (labels, modes)."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    h2 = cfg.bandwidth**2
+    attractors = np.empty_like(points)
+    for i in range(n):
+        x = points[i].copy()
+        for _ in range(cfg.max_iter):
+            w = np.exp(-np.sum((points - x) ** 2, axis=1) / (2.0 * h2))
+            new_x = w @ points / w.sum()
+            shift = float(np.linalg.norm(new_x - x))
+            x = new_x
+            if shift < cfg.shift_tol:
+                break
+        attractors[i] = x
+
+    modes = []
+    labels = np.empty(n, dtype=int)
+    for i in range(n):
+        assigned = -1
+        for j, m in enumerate(modes):
+            if np.linalg.norm(attractors[i] - m) <= cfg.merge_radius:
+                assigned = j
+                break
+        if assigned == -1:
+            modes.append(attractors[i])
+            assigned = len(modes) - 1
+        labels[i] = assigned
+    return labels, np.array(modes)
+
+
+def meanshift_cases(dims=(*range(1, 17), 24, 40, 130)):
+    """Seeded (points, cfg) instances for the bit-identity test: d from 1 to
+    16 (numpy sums a row of 8 or more values with 8 accumulators), 24 and
+    40, and 130 (past numpy's 128-value pairwise block); n of 1, 2 and odd
+    sizes; two bandwidths; a merge radius of 1e-300 that keeps every
+    distinct attractor as its own mode; and max_iter budgets of 40 and 3
+    that stop some rows before they converge."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for d in dims:
+        spread = np.sqrt(d)
+        for n in (1, 2, 9, 333 if d in (3, 9) else 61):
+            pts = rng.normal(size=(n, d)) + 2.0 * spread * rng.integers(0, 3, size=(n, 1))
+            for bandwidth in (0.4 * spread, 1.3 * spread):
+                cases.append((pts, MeanShiftConfig(bandwidth=float(bandwidth), max_iter=40)))
+            cases.append((pts, MeanShiftConfig(bandwidth=float(0.8 * spread), max_iter=40, merge_radius=1e-300)))
+            cases.append((pts, MeanShiftConfig(bandwidth=float(0.8 * spread), shift_tol=1e-12,
+                                               max_iter=3, merge_radius=1e-300)))
+    return cases
+
+
 def lloyd_cases():
     """Seeded (points, init, max_iter) instances for the bit-identity test."""
     rng = np.random.default_rng(2025)
@@ -517,6 +571,47 @@ class TestMeanshift:
     def test_merge_radius_default(self):
         cfg = MeanShiftConfig(bandwidth=2.0)
         assert cfg.merge_radius == 1.0
+
+    @pytest.mark.parametrize(
+        "rows, dims",
+        [(None, (*range(1, 17), 24, 40, 130)), (1, (1, 8, 130)), (7, (1, 8, 130))],
+    )
+    def test_bit_identical_to_seed_meanshift(self, monkeypatch, rows, dims):
+        # rows=1 moves one seed per block; 7 rows leave a partial last block
+        # at every n here but 1 and 2 (d=130 gets 5 rows: 6 live arrays).
+        for case, (pts, cfg) in enumerate(meanshift_cases(dims)):
+            if rows is not None:
+                monkeypatch.setattr(clustering, "_BLOCK_ELEMENTS", 4 * 5 * rows * len(pts))
+            r = meanshift(pts, cfg)
+            labels, modes = seed_meanshift(pts, cfg)
+            assert r.k == len(modes), f"case {case}"
+            assert np.array_equal(r.labels, labels), f"case {case}"
+            assert np.array_equal(r.representatives, modes), f"case {case}"
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+    def test_empty_shapes_match_seed_meanshift(self, shape):
+        cfg = MeanShiftConfig(bandwidth=1.0)
+        r = meanshift(np.zeros(shape), cfg)
+        labels, modes = seed_meanshift(np.zeros(shape), cfg)
+        assert r.k == len(modes)
+        assert np.array_equal(r.labels, labels)
+        assert np.array_equal(r.representatives, modes)
+
+    def test_block_arrays_bounded(self, monkeypatch):
+        # A fixed block of 256 rows would hold 5 * 256 * 400 * 8 B = 4 MB.
+        budget = 1 << 16
+        monkeypatch.setattr(clustering, "_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(400, 3)) + 8.0 * rng.integers(0, 3, size=(400, 1))
+        tracemalloc.start()
+        try:
+            r = meanshift(pts, MeanShiftConfig(bandwidth=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.k == 3
+        # the block's share of the budget, plus a few copies of the points
+        assert peak < 8 * budget // 4 + 8 * pts.nbytes, f"peak {peak} B"
 
 
 class TestResultInvariants:

@@ -401,6 +401,15 @@ TYPED_FIELDS = [
 ]
 
 
+FLOAT_FIELDS = [
+    (cls, kwargs, f.name, bad)
+    for cls, kwargs in CONFIG_CLASSES
+    for f in fields(cls)
+    if f.type.split(" | ")[0] == "float"
+    for bad in (float("nan"), float("inf"), -np.inf)
+]
+
+
 class TestRequireFieldTypes:
     @pytest.mark.parametrize(
         "cls, kwargs, name, bad",
@@ -410,6 +419,16 @@ class TestRequireFieldTypes:
     def test_wrong_type_names_the_field(self, cls, kwargs, name, bad):
         cls(**kwargs)
         with pytest.raises(ValueError, match=f"^{name} must be "):
+            cls(**{**kwargs, name: bad})
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, name, bad",
+        FLOAT_FIELDS,
+        ids=[f"{cls.__name__}.{name}={bad!r}" for cls, _, name, bad in FLOAT_FIELDS],
+    )
+    def test_non_finite_float_names_the_field(self, cls, kwargs, name, bad):
+        # JSON's NaN and Infinity parse to these; no float field means them
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             cls(**{**kwargs, name: bad})
 
     def test_float_field_stores_a_float(self):
@@ -433,6 +452,11 @@ class TestCleaningPolicyJsonForms:
     def test_sentinels_must_be_a_list_of_numbers(self, sentinels):
         with pytest.raises(ValueError, match="^feature_sentinels must be"):
             CleaningPolicy(feature_sentinels=sentinels)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
+    def test_non_finite_sentinel_refused(self, bad):
+        with pytest.raises(ValueError, match="^feature_sentinels must be a finite number"):
+            CleaningPolicy(feature_sentinels=[99.0, bad])
 
     def test_unknown_row_policy(self):
         with pytest.raises(ValueError, match="unknown row_policy 'drop'"):
