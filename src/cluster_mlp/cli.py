@@ -302,13 +302,16 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
         "clustering": report.clustering_seconds,
         "training": report.training_seconds,
     }
-    _write_report(files.output, body, _header(config_doc, timings))
+    diagnostics = {"iterations": report.iterations, "converged": report.converged}
+    _write_report(files.output, body, _header(config_doc, timings) | {"diagnostics": diagnostics})
 
     t = report.metrics_test
     print(f"architecture {report.spec}  (k={report.k} clusters)")
     print(f"  test: rms={t.rms:.4f}  norm_rms={t.norm_rms:.4f}  bias={t.bias:.4f}  "
           f"outliers>0.15={t.outlier_fraction:.2%}  corr={t.correlation:.4f}")
     print(f"  clustering {report.clustering_seconds:.3f}s, training {report.training_seconds:.3f}s")
+    if not report.converged:
+        print(f"  training not converged (max_iter={cfg.train_cfg.max_iter})")
     return EXIT_OK
 
 

@@ -239,7 +239,8 @@ def _split_candidates(
     r the RMS point-to-centroid radius. Lloyd from one random direction can
     stall in a poor local optimum, so a few directions plus one
     distance-weighted seeding are tried. The split wins when its children's
-    joint BIC beats the parent's one-cluster BIC.
+    joint BIC beats the parent's one-cluster BIC and each child has more than
+    d + 1 members, more rows than a child's d + 1 free parameters.
     """
     n, d = members.shape
     radius = float(np.sqrt(np.mean(np.sum((members - parent) ** 2, axis=1))))
@@ -265,7 +266,7 @@ def _split_candidates(
     best: tuple[float, np.ndarray] | None = None
     for init in inits:
         sub_labels, sub_centroids, _ = lloyd(members, init, trial_iters, tol, points_sq, columns)
-        if not (np.any(sub_labels == 0) and np.any(sub_labels == 1)):
+        if np.bincount(sub_labels, minlength=2).min() <= d + 1:
             continue
         score = bic_score(members, sub_labels, sub_centroids)
         if best is None or score > best[0]:
@@ -273,7 +274,7 @@ def _split_candidates(
     if best is None or best[0] <= parent_bic:
         return None
     sub_labels, sub_centroids, _ = lloyd(members, best[1], max_iter, tol, points_sq, columns)
-    if not (np.any(sub_labels == 0) and np.any(sub_labels == 1)):
+    if np.bincount(sub_labels, minlength=2).min() <= d + 1:
         return None
     if bic_score(members, sub_labels, sub_centroids) <= parent_bic:
         return None

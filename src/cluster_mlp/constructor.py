@@ -81,6 +81,8 @@ class PipelineReport:
     metrics_validation: MetricBlock | None
     train_rows: int
     test_rows: int
+    iterations: int  # L-BFGS iterations summed over the restarts
+    converged: bool  # whether the kept restart met grad_tol before max_iter
 
     def __post_init__(self):
         if self.spec.hidden_width != self.k:
@@ -173,7 +175,7 @@ def run_pipeline_with_model(
 
     start = time.perf_counter()
     try:
-        model, _ = mlp.train(spec, train_raw, cfg.train_cfg, norm=norm)
+        model, train_report = mlp.train(spec, train_raw, cfg.train_cfg, norm=norm)
     except Exception as e:
         raise PipelineError("training", e) from e
     training_seconds = time.perf_counter() - start
@@ -197,6 +199,8 @@ def run_pipeline_with_model(
         metrics_validation=val_block,
         train_rows=train_raw.n,
         test_rows=test_raw.n,
+        iterations=train_report.iterations,
+        converged=train_report.converged,
     )
     return report, model
 

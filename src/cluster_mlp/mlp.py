@@ -2,13 +2,15 @@
 
 Hidden activation is tanh, output is linear. Training minimizes the halved
 mean squared error with full-batch L-BFGS (two-loop recursion, strong Wolfe
-line search). Models carry the normalization parameters they were trained
-with, so prediction accepts raw features and returns raw-unit targets.
+line search) over the flat parameter vector theta in `flatten` order. Models
+carry the normalization parameters they were trained with, so prediction
+accepts raw features and returns raw-unit targets.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -28,16 +30,13 @@ class NumericalError(Exception):
 class NetworkSpec:
     input_width: int
     hidden_width: int
-    output_width: int = 1
 
     def __post_init__(self):
         if self.input_width < 1 or self.hidden_width < 1:
             raise ValueError("layer widths must be positive")
-        if self.output_width != 1:
-            raise ValueError("output width is fixed to 1 for regression")
 
     def __str__(self) -> str:
-        return f"{self.input_width}:{self.hidden_width}:{self.output_width}"
+        return f"{self.input_width}:{self.hidden_width}:1"
 
     @property
     def n_params(self) -> int:
@@ -142,22 +141,29 @@ def unflatten(theta: np.ndarray, spec: NetworkSpec, norm: NormalizationParams) -
     return MlpModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2, norm=norm)
 
 
-def loss_and_gradient(m: MlpModel, xs: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
-    """Halved MSE and its exact analytic gradient in flattening order."""
+def loss_and_gradient(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
+    """Halved MSE and its exact analytic gradient, both in flattening order.
+
+    w1, b1, w2 and b2 are read as views of theta; the hidden width k follows
+    from len(theta) = k * (d + 2) + 1 with d the width of xs."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    n = xs.shape[0]
-    if xs.shape[1] != m.w1.shape[1] or ys.shape[0] != n:
-        raise ValueError("dimension mismatch between model and batch")
+    n, d = xs.shape
+    k = (theta.size - 1) // (d + 2)
+    if k < 1 or theta.shape != (k * (d + 2) + 1,) or ys.shape != (n,):
+        raise ValueError(f"theta {theta.shape} and ys {ys.shape} do not fit a batch of shape {xs.shape}")
+    w1 = theta[: k * d].reshape(k, d)
+    b1 = theta[k * d : k * d + k]
+    w2 = theta[k * d + k : k * d + 2 * k]
     # In place: one (n, k) buffer holds the pre-activation, then h, then
     # 1 - h^2, and one (n,) buffer the residual, then d_pred. Each step
     # rounds as in the plain expressions, d_h = outer(d_pred, w2) * (1 - h**2)
     # included, so loss and gradient are bit-identical to them.
-    h = xs @ m.w1.T
-    h += m.b1
+    h = xs @ w1.T
+    h += b1
     np.tanh(h, out=h)
-    resid = h @ m.w2
-    resid += m.b2
+    resid = h @ w2
+    resid += theta[-1]
     resid -= ys
     loss = float(0.5 * np.mean(resid**2))
 
@@ -165,7 +171,7 @@ def loss_and_gradient(m: MlpModel, xs: np.ndarray, ys: np.ndarray) -> tuple[floa
     d_pred /= n
     g_w2 = h.T @ d_pred
     g_b2 = float(d_pred.sum())
-    d_h = np.outer(d_pred, m.w2)
+    d_h = np.outer(d_pred, w2)
     np.multiply(h, h, out=h)
     np.subtract(1.0, h, out=h)
     d_h *= h
@@ -261,23 +267,22 @@ def lbfgs_minimize(
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise NumericalError("non-finite objective or gradient at iteration 0")
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.lbfgs_memory)
     iterations = 0
     converged = bool(np.max(np.abs(g)) < cfg.grad_tol)
 
     while not converged and iterations < cfg.max_iter:
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, y, rho in reversed(history):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
+        if history:
+            s, y, _ = history[-1]
+            gamma = (s @ y) / (y @ y)
             q *= gamma
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        for (s, y, rho), a in zip(history, reversed(alphas)):
             b = rho * (y @ q)
             q += (a - b) * s
         direction = -q
@@ -294,13 +299,7 @@ def lbfgs_minimize(
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.lbfgs_memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s, y, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
         iterations += 1
         converged = bool(np.max(np.abs(g)) < cfg.grad_tol)
@@ -317,26 +316,22 @@ def train(
     """Trains on the given raw dataset; normalization is fit here when not
     supplied. Runs cfg.restarts seeded initializations and keeps the model
     with the lowest final training loss (ties: lowest restart index)."""
+    if train_set.d != spec.input_width:
+        raise ValueError(f"dataset width {train_set.d} does not match spec {spec}")
     if norm is None:
         norm = fit_normalization(train_set)
     xs = (train_set.features - norm.center) / norm.scale
     ys = (train_set.targets - norm.target_center) / norm.target_scale
 
-    best: tuple[float, int, np.ndarray, TrainReport] | None = None
-    total_iters = 0
-    for r in range(cfg.restarts):
-        m0 = init_model(spec, seed=cfg.init_scale_seed + r, norm=norm)
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return loss_and_gradient(theta, xs, ys)
 
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            return loss_and_gradient(unflatten(theta, spec, norm), xs, ys)
-
-        theta, rep = lbfgs_minimize(objective, flatten(m0), cfg)
-        total_iters += rep.iterations
-        if best is None or rep.final_loss < best[0]:
-            best = (rep.final_loss, r, theta, rep)
-    assert best is not None
-    _, _, theta, rep = best
-    return unflatten(theta, spec, norm), replace(rep, iterations=total_iters)
+    runs = [
+        lbfgs_minimize(objective, flatten(init_model(spec, cfg.init_scale_seed + r)), cfg)
+        for r in range(cfg.restarts)
+    ]
+    theta, rep = min(runs, key=lambda run: run[1].final_loss)
+    return unflatten(theta, spec, norm), replace(rep, iterations=sum(r.iterations for _, r in runs))
 
 
 def predict(m: MlpModel, ds: Dataset) -> np.ndarray:

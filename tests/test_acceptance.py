@@ -42,7 +42,6 @@ from cluster_mlp.mlp import (
     init_model,
     lbfgs_minimize,
     loss_and_gradient,
-    unflatten,
 )
 
 from test_clustering import brute_force_dbscan, partitions_equal
@@ -72,21 +71,19 @@ def test_criterion_1_gradient_correctness():
             d = int(rng.integers(1, 9))
             k = int(rng.integers(1, 9))
             n = int(rng.integers(1, 17))
-            spec = NetworkSpec(d, k)
-            m = init_model(spec, seed=int(rng.integers(0, 10_000)))
+            theta = flatten(init_model(NetworkSpec(d, k), seed=int(rng.integers(0, 10_000))))
             xs = rng.normal(size=(n, d))
             ys = rng.normal(size=n)
-            _, grad = loss_and_gradient(m, xs, ys)
+            _, grad = loss_and_gradient(theta, xs, ys)
 
-            theta = flatten(m)
             fd = np.zeros_like(theta)
             h = 1e-6
             for i in range(theta.size):
                 plus, minus = theta.copy(), theta.copy()
                 plus[i] += h
                 minus[i] -= h
-                lp, _ = loss_and_gradient(unflatten(plus, spec, m.norm), xs, ys)
-                lm, _ = loss_and_gradient(unflatten(minus, spec, m.norm), xs, ys)
+                lp, _ = loss_and_gradient(plus, xs, ys)
+                lm, _ = loss_and_gradient(minus, xs, ys)
                 fd[i] = (lp - lm) / (2 * h)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
             worst = max(worst, float(rel.max()))

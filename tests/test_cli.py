@@ -107,6 +107,14 @@ class TestPipeline:
         model = load_model(model_path)
         assert model.spec.input_width == 3
 
+    def test_budget_stop_reported_in_header(self, blob_csv, tmp_path, capsys):
+        doc = pipeline_config(blob_csv, tmp_path, train={"max_iter": 3})
+        cfg = write_config(tmp_path, "p.json", doc)
+        assert main(["pipeline", str(cfg)]) == EXIT_OK
+        header = read_report(tmp_path)["header"]
+        assert header["diagnostics"] == {"converged": False, "iterations": 3}
+        assert "training not converged (max_iter=3)" in capsys.readouterr().out
+
     def test_seed_override_changes_split(self, blob_csv, tmp_path):
         cfg = write_config(tmp_path, "p.json", pipeline_config(blob_csv, tmp_path))
         assert main(["pipeline", str(cfg), "--seed", "0"]) == EXIT_OK

@@ -438,6 +438,14 @@ class TestXmeans:
         # iterations; the full-length refinement only for a winning trial.
         assert runs == [5] * (tries + 1) + [300] * accepted
 
+    def test_split_refused_when_a_child_is_tiny(self):
+        # without the minimum child size one 60-row blob splits off a single
+        # row, which wins on BIC, and X-means returns k=10
+        ds = synth_blobs(9, 60, 2, 30.0, 1.0, seed=6)
+        r = xmeans(ds.features, XMeansConfig(kmin=2, kmax=20, seed=6))
+        assert r.k == 9
+        assert np.bincount(r.labels).min() > 2 + 1
+
     def test_result_invariants(self):
         ds = synth_blobs(4, 25, 3, 15.0, 1.0, seed=2)
         r = xmeans(ds.features, XMeansConfig(kmin=2, kmax=20, seed=0))

@@ -37,10 +37,18 @@ def make_ds(features, targets):
     )
 
 
-def plain_loss_and_gradient(m, xs, ys):
-    """The objective as plain out-of-place expressions: the reference that
-    loss_and_gradient must match bit for bit."""
-    n = xs.shape[0]
+def identity_norm(d):
+    return NormalizationParams(
+        center=np.zeros(d), scale=np.ones(d), target_center=0.0, target_scale=1.0
+    )
+
+
+def plain_loss_and_gradient(theta, xs, ys):
+    """The objective as plain out-of-place expressions on the layers that
+    unflatten copies out of theta: the reference that loss_and_gradient must
+    match bit for bit."""
+    n, d = xs.shape
+    m = unflatten(theta, NetworkSpec(d, (theta.size - 1) // (d + 2)), identity_norm(d))
     h = np.tanh(xs @ m.w1.T + m.b1)
     pred = h @ m.w2 + m.b2
     resid = pred - ys
@@ -54,17 +62,15 @@ def plain_loss_and_gradient(m, xs, ys):
     return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
 
 
-def finite_difference_grad(m, xs, ys, h=1e-6):
-    spec = m.spec
-    theta = flatten(m)
+def finite_difference_grad(theta, xs, ys, h=1e-6):
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         plus = theta.copy()
         plus[i] += h
         minus = theta.copy()
         minus[i] -= h
-        lp, _ = loss_and_gradient(unflatten(plus, spec, m.norm), xs, ys)
-        lm, _ = loss_and_gradient(unflatten(minus, spec, m.norm), xs, ys)
+        lp, _ = loss_and_gradient(plus, xs, ys)
+        lm, _ = loss_and_gradient(minus, xs, ys)
         grad[i] = (lp - lm) / (2 * h)
     return grad
 
@@ -123,55 +129,65 @@ class TestLossAndGradient:
         )
         xs = np.random.default_rng(0).normal(size=(4, 2))
         ys = np.full(4, 1.5)
-        loss, grad = loss_and_gradient(m, xs, ys)
+        loss, grad = loss_and_gradient(flatten(m), xs, ys)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(9)
         spec = NetworkSpec(3, 4)
-        m = init_model(spec, seed=2)
+        theta = flatten(init_model(spec, seed=2))
         xs = rng.normal(size=(5, 3))
         ys = rng.normal(size=5)
-        _, grad = loss_and_gradient(m, xs, ys)
-        fd = finite_difference_grad(m, xs, ys)
+        _, grad = loss_and_gradient(theta, xs, ys)
+        fd = finite_difference_grad(theta, xs, ys)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
 
     def test_sample_duplication_invariance(self):
         rng = np.random.default_rng(3)
-        m = init_model(NetworkSpec(2, 3), seed=1)
+        theta = flatten(init_model(NetworkSpec(2, 3), seed=1))
         xs = rng.normal(size=(6, 2))
         ys = rng.normal(size=6)
-        loss1, grad1 = loss_and_gradient(m, xs, ys)
-        loss2, grad2 = loss_and_gradient(m, np.vstack([xs, xs]), np.concatenate([ys, ys]))
+        loss1, grad1 = loss_and_gradient(theta, xs, ys)
+        loss2, grad2 = loss_and_gradient(theta, np.vstack([xs, xs]), np.concatenate([ys, ys]))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         assert np.allclose(grad1, grad2, rtol=1e-12)
 
+    @pytest.mark.parametrize("n_params", [16, 18, 4, 3])
+    def test_theta_length_mismatch(self, n_params):
+        # a 2-d batch fits k * 4 + 1 parameters: 17 for k = 4, none of these
+        xs = np.zeros((5, 2))
+        with pytest.raises(ValueError, match="do not fit"):
+            loss_and_gradient(np.zeros(n_params), xs, np.zeros(5))
+
+    @pytest.mark.parametrize("ys_shape", [(4,), (6,), (5, 1)])
+    def test_targets_mismatch(self, ys_shape):
+        theta = flatten(init_model(NetworkSpec(2, 4), seed=0))
+        with pytest.raises(ValueError, match="do not fit"):
+            loss_and_gradient(theta, np.zeros((5, 2)), np.zeros(ys_shape))
 
     @pytest.mark.parametrize(
         "n, d, k", [(1, 1, 1), (1, 4, 3), (9, 1, 6), (50, 3, 1), (333, 10, 8), (4097, 6, 11)]
     )
     def test_bit_identical_to_plain_expression(self, n, d, k):
         rng = np.random.default_rng([n, d, k])
-        norm = NormalizationParams(
-            center=np.zeros(d), scale=np.ones(d), target_center=0.0, target_scale=1.0
-        )
         m = MlpModel(
             w1=rng.normal(size=(k, d)),
             b1=rng.normal(size=k),
             w2=rng.normal(size=k),
             b2=float(rng.normal()),
-            norm=norm,
+            norm=identity_norm(d),
         )
+        theta = flatten(m)
         xs = rng.normal(size=(n, d))
         ys = rng.normal(size=n)
-        xs_before, ys_before = xs.copy(), ys.copy()
-        loss, grad = loss_and_gradient(m, xs, ys)
-        ref_loss, ref_grad = plain_loss_and_gradient(m, xs, ys)
+        before = theta.copy(), xs.copy(), ys.copy()
+        loss, grad = loss_and_gradient(theta, xs, ys)
+        ref_loss, ref_grad = plain_loss_and_gradient(theta, xs, ys)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(xs, xs_before) and np.array_equal(ys, ys_before)
+        assert all(np.array_equal(a, b) for a, b in zip((theta, xs, ys), before))
 
 
 class TestFlatten:
@@ -311,6 +327,27 @@ class TestTrain:
         assert report.final_loss == ref_report.final_loss
         assert report.iterations == ref_report.iterations
 
+    def test_one_model_built_per_call(self, monkeypatch):
+        # the objective reads theta directly; only the returned model is built
+        rng = np.random.default_rng(12)
+        ds = make_ds(rng.normal(size=(30, 2)), rng.normal(size=30))
+        calls = []
+
+        def counting_unflatten(*args):
+            calls.append(args)
+            return unflatten(*args)
+
+        monkeypatch.setattr(mlp, "unflatten", counting_unflatten)
+        train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=20, restarts=2))
+        assert len(calls) == 1
+
+    def test_spec_width_mismatch(self):
+        # a 2:4:1 network has as many parameters as a 6:2:1 one
+        rng = np.random.default_rng(13)
+        ds = make_ds(rng.normal(size=(10, 6)), rng.normal(size=10))
+        with pytest.raises(ValueError, match="does not match"):
+            train(NetworkSpec(2, 4), ds, TrainConfig(max_iter=5))
+
     def test_restarts_pick_lowest_loss(self):
         rng = np.random.default_rng(6)
         ds = make_ds(rng.normal(size=(40, 2)), rng.normal(size=40))
@@ -329,7 +366,7 @@ class TestTrain:
         xs = (ds.features - norm.center) / norm.scale
         ys = (ds.targets - norm.target_center) / norm.target_scale
         m0 = init_model(NetworkSpec(3, 4), seed=0, norm=norm)
-        loss0, _ = loss_and_gradient(m0, xs, ys)
+        loss0, _ = loss_and_gradient(flatten(m0), xs, ys)
         _, report = train(NetworkSpec(3, 4), ds, TrainConfig(max_iter=30, init_scale_seed=0))
         assert report.final_loss <= loss0
 
