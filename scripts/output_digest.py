@@ -24,6 +24,12 @@ those lines and the listing of the default workloads and seeds:
     python3 scripts/output_digest.py > listing.txt 2> build.txt
     cat build.txt listing.txt > scripts/output_digests.txt
 
+Every call's output also goes through the workload's own check (the one the
+benchmark runs); when any fails, the script prints `checks: F of N failed`
+and exits 1. A scan over many seeds is one command:
+
+    python3 scripts/output_digest.py --workloads xmeans-cluster --seeds $(seq 0 199)
+
 `--check FILE` compares each computed digest with the line of FILE for the
 same workload and seed, names every one that differs or is missing, and
 exits 1 if any does. It notes when FILE's build lines are not this build's.
@@ -120,6 +126,7 @@ def main(argv=None) -> int:
     for line in _build_lines():
         print(line, file=sys.stderr)
     computed = {}
+    failed = 0
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         for name in args.workloads:
@@ -129,8 +136,10 @@ def main(argv=None) -> int:
                 workload = workloads.make(name, seed, False, workdir)
                 workload.setup()
                 outcome = workload.call()
-                for problem in workload.check(outcome):
+                problems = workload.check(outcome)
+                for problem in problems:
                     print(f"{name} seed {seed}: check failed: {problem}", file=sys.stderr)
+                failed += bool(problems)
                 digest = hashlib.sha256()
                 for part in _parts(name, workload, outcome):
                     digest.update(part)
@@ -139,7 +148,11 @@ def main(argv=None) -> int:
                 print(line, flush=True)
                 total.update(line.encode() + b"\n")
     print(f"{'all':16s} {total.hexdigest()}")
-    return 0 if args.check is None else _check(computed, args.check)
+    status = 0 if args.check is None else _check(computed, args.check)
+    if failed:
+        print(f"checks: {failed} of {len(computed)} failed", file=sys.stderr)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -278,7 +278,8 @@ def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
         "labels": result.labels.tolist(),
         "row_ids": list(train_raw.row_ids),
     }
-    _write_report(files.output, body, _header(config_doc, {"clustering": clustering_seconds}))
+    header = _header(config_doc, {"clustering": clustering_seconds}) | {"diagnostics": result.diagnostics}
+    _write_report(files.output, body, header)
     print(f"clustering: {result.algorithm.value}  k={result.k}  "
           f"time={clustering_seconds:.3f}s  sizes={sizes.tolist()}")
     return EXIT_OK
@@ -302,7 +303,14 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
         "clustering": report.clustering_seconds,
         "training": report.training_seconds,
     }
-    diagnostics = {"iterations": report.iterations, "converged": report.converged}
+    trained = report.training
+    diagnostics = {
+        "iterations": trained.iterations,
+        "converged": trained.converged,
+        "objective_calls": trained.objective_calls,
+        "grad_inf_norm": trained.grad_inf_norm,
+        "clustering": report.clustering_diagnostics,
+    }
     _write_report(files.output, body, _header(config_doc, timings) | {"diagnostics": diagnostics})
 
     t = report.metrics_test
@@ -310,7 +318,7 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     print(f"  test: rms={t.rms:.4f}  norm_rms={t.norm_rms:.4f}  bias={t.bias:.4f}  "
           f"outliers>0.15={t.outlier_fraction:.2%}  corr={t.correlation:.4f}")
     print(f"  clustering {report.clustering_seconds:.3f}s, training {report.training_seconds:.3f}s")
-    if not report.converged:
+    if not trained.converged:
         print(f"  training not converged (max_iter={cfg.train_cfg.max_iter})")
     return EXIT_OK
 

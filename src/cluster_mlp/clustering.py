@@ -9,7 +9,8 @@ be normalized features.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,9 @@ class ClusteringResult:
     representatives: np.ndarray  # (k, d)
     k: int
     algorithm: Algorithm
+    # How the search went (counts, why it stopped); deterministic, never
+    # compared.
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
@@ -225,6 +229,35 @@ def bic_score(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> 
     return loglik - p / 2.0 * np.log(n)
 
 
+# Anderson-Darling critical value of G-means (Hamerly and Elkan, NIPS 2003)
+# at alpha = 1e-4, for A*^2 with estimated mean and variance.
+_AD_CRITICAL = 1.8692
+
+
+def _gaussian_screen(members: np.ndarray) -> float:
+    """A*^2 = A^2 (1 + 4/n - 25/n^2), the Anderson-Darling statistic of the
+    members' projection onto their principal axis, standardised with the
+    sample mean and the ddof=1 standard deviation. Large values say the
+    cluster is not one Gaussian; 0 for fewer than 8 members or no spread."""
+    n = members.shape[0]
+    if n < 8:
+        return 0.0
+    centred = members - members.mean(axis=0)
+    axis = np.linalg.eigh(centred.T @ centred)[1][:, -1]
+    x = np.sort(centred @ axis)
+    std = x.std(ddof=1)
+    if std == 0.0:
+        return 0.0
+    # Phi(z) = erfc(-z / sqrt 2) / 2; math.erfc over a list is faster than
+    # np.frompyfunc and gives the same values.
+    z = (x - x.mean()) / (-std * math.sqrt(2.0))
+    cdf = 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, n)
+    cdf = np.clip(cdf, 1e-15, 1.0 - 1e-15)
+    weights = 2.0 * np.arange(1, n + 1) - 1.0
+    a2 = -n - float(np.sum(weights * (np.log(cdf) + np.log1p(-cdf[::-1])))) / n
+    return a2 * (1.0 + 4.0 / n - 25.0 / n**2)
+
+
 def _split_candidates(
     members: np.ndarray,
     parent: np.ndarray,
@@ -232,18 +265,22 @@ def _split_candidates(
     max_iter: int,
     tol: float,
     tries: int = 2,
+    retry: bool = False,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """2-means split of a cluster's members, or None when the split loses.
 
     Children are seeded at parent +/- r*u with u a random unit direction and
     r the RMS point-to-centroid radius. Lloyd from one random direction can
     stall in a poor local optimum, so a few directions plus one
-    distance-weighted seeding are tried. The split wins when its children's
+    distance-weighted seeding are tried; a retry adds a "peel" seeding with
+    the children at the parent and at its farthest member, which cuts one
+    outlying blob off a cluster of many. The split wins when its children's
     joint BIC beats the parent's one-cluster BIC and each child has more than
     d + 1 members, more rows than a child's d + 1 free parameters.
     """
     n, d = members.shape
-    radius = float(np.sqrt(np.mean(np.sum((members - parent) ** 2, axis=1))))
+    sq = np.sum((members - parent) ** 2, axis=1)
+    radius = float(np.sqrt(np.mean(sq)))
     if radius == 0.0:
         return None  # coincident points; nothing to split
     inits = []
@@ -252,6 +289,8 @@ def _split_candidates(
         u /= np.linalg.norm(u)
         inits.append(np.vstack([parent + radius * u, parent - radius * u]))
     inits.append(_weighted_init(members, 2, rng))
+    if retry:
+        inits.append(np.vstack([parent, members[sq.argmax()]]))
 
     # Every Lloyd run below is on the same members.
     points_sq = (members * members).sum(axis=1)
@@ -285,9 +324,12 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     """X-means: start with kmin-means, then repeatedly try to split each
     cluster in two; a split is kept only when the children's joint BIC beats
     the parent's. A cluster whose split is refused is not attempted again
-    until a round accepts no split at all; then every cluster is attempted
-    once more, in one retry round. The next split-free round ends the
-    search, as do kmax and the round limit."""
+    until a round accepts no split at all. Then every cluster is screened
+    for Gaussianity (_gaussian_screen) and only those that fail are retried,
+    each with an extra peel seeding. A retry round that splits returns to
+    normal rounds, and the next split-free round screens again. The search
+    ends when every cluster passes the screen, when a retry round keeps
+    nothing, at kmax or at the round limit; `diagnostics` says which."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if cfg.kmin > n:
@@ -300,12 +342,13 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     ]
     centroids: list[np.ndarray] = [points[idx].mean(axis=0) for idx in clusters]
     # Splits never reassign points across clusters, so a refused cluster
-    # keeps its members; a new attempt differs only through fresh random
-    # seedings. One bad seeding can still refuse a cluster that holds several
-    # blobs, so a split-free round reopens every cluster for one retry round
-    # instead of ending the search.
+    # keeps its members; a new attempt differs only through its seedings.
+    # One attempt can still refuse a cluster that holds several blobs, so a
+    # split-free round reopens the clusters that fail the screen instead of
+    # ending the search; a single Gaussian blob passes and stays closed.
     open_flags: list[bool] = [True] * len(clusters)
-    retried = False
+    retry = False
+    diagnostics = {"split_rounds": 0, "retry_rounds": 0, "split_attempts": 0, "stopped_by": "max_split_rounds"}
 
     for _ in range(cfg.max_split_rounds):
         if len(clusters) >= cfg.kmax:
@@ -318,7 +361,10 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         for idx, parent, is_open in zip(clusters, centroids, open_flags):
             split = None
             if is_open and total < cfg.kmax and idx.size >= 3:
-                split = _split_candidates(points[idx], parent, rng, cfg.kmeans_max_iter, cfg.kmeans_tol)
+                diagnostics["split_attempts"] += 1
+                split = _split_candidates(
+                    points[idx], parent, rng, cfg.kmeans_max_iter, cfg.kmeans_tol, retry=retry
+                )
             if split is not None:
                 sub_labels, sub_centroids = split
                 next_clusters.append(idx[sub_labels == 0])
@@ -335,16 +381,26 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         clusters = next_clusters
         centroids = next_centroids
         open_flags = next_open
-        if not any_split:
-            if retried:
-                break
-            retried = True
-            open_flags = [True] * len(clusters)
+        diagnostics["split_rounds"] += 1
+        diagnostics["retry_rounds"] += retry
+        if any_split:
+            retry = False
+            continue
+        if retry:
+            diagnostics["stopped_by"] = "retry_refused"
+            break
+        open_flags = [_gaussian_screen(points[idx]) > _AD_CRITICAL for idx in clusters]
+        if not any(open_flags):
+            diagnostics["stopped_by"] = "gaussian"
+            break
+        retry = True
+    if len(clusters) >= cfg.kmax:
+        diagnostics["stopped_by"] = "kmax"
 
     labels = np.empty(n, dtype=int)
     for j, idx in enumerate(clusters):
         labels[idx] = j
-    return ClusteringResult(labels, np.array(centroids), len(clusters), Algorithm.XMEANS)
+    return ClusteringResult(labels, np.array(centroids), len(clusters), Algorithm.XMEANS, diagnostics)
 
 
 # Element budget of one block's (rows, window, d) difference array in
@@ -418,7 +474,7 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
         reps = np.array([points[labels == j].mean(axis=0) for j in range(k)])
     else:
         reps = np.empty((0, points.shape[1]))
-    return ClusteringResult(labels, reps, k, Algorithm.DBSCAN)
+    return ClusteringResult(labels, reps, k, Algorithm.DBSCAN, {"noise_points": int(np.sum(labels == -1))})
 
 
 def _sq_dists(columns: np.ndarray, x: np.ndarray, lo: int, m: int) -> np.ndarray:

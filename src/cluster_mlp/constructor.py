@@ -34,7 +34,7 @@ from .dataset import (
     require_field_types,
 )
 from .metrics import MetricBlock
-from .mlp import NetworkSpec, TrainConfig
+from .mlp import NetworkSpec, TrainConfig, TrainReport
 
 
 class PipelineError(Exception):
@@ -81,8 +81,8 @@ class PipelineReport:
     metrics_validation: MetricBlock | None
     train_rows: int
     test_rows: int
-    iterations: int  # L-BFGS iterations summed over the restarts
-    converged: bool  # whether the kept restart met grad_tol before max_iter
+    training: TrainReport
+    clustering_diagnostics: dict  # ClusteringResult.diagnostics
 
     def __post_init__(self):
         if self.spec.hidden_width != self.k:
@@ -168,7 +168,7 @@ def run_pipeline_with_model(
 
     start = time.perf_counter()
     try:
-        spec, _ = construct_architecture(train_norm, cfg)
+        spec, clustered = construct_architecture(train_norm, cfg)
     except Exception as e:
         raise PipelineError("clustering", e) from e
     clustering_seconds = time.perf_counter() - start
@@ -199,8 +199,8 @@ def run_pipeline_with_model(
         metrics_validation=val_block,
         train_rows=train_raw.n,
         test_rows=test_raw.n,
-        iterations=train_report.iterations,
-        converged=train_report.converged,
+        training=train_report,
+        clustering_diagnostics=clustered.diagnostics,
     )
     return report, model
 

@@ -93,6 +93,8 @@ class TrainReport:
     final_loss: float
     iterations: int
     converged: bool
+    objective_calls: int  # objective evaluations, line searches included
+    grad_inf_norm: float  # ||grad||_inf at the returned point
 
 
 def init_model(spec: NetworkSpec, seed: int, norm: NormalizationParams | None = None) -> MlpModel:
@@ -262,16 +264,23 @@ def lbfgs_minimize(
     s'y <= 1e-10 ||s|| ||y|| are discarded; the initial inverse-Hessian
     scale is s'y / y'y from the most recent kept pair.
     """
+    calls = 0
+
+    def counted(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal calls
+        calls += 1
+        return objective(theta)
+
     x = np.array(x0, dtype=float)
-    f, g = objective(x)
+    f, g = counted(x)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise NumericalError("non-finite objective or gradient at iteration 0")
 
     history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.lbfgs_memory)
     iterations = 0
-    converged = bool(np.max(np.abs(g)) < cfg.grad_tol)
+    grad_inf = float(np.max(np.abs(g)))
 
-    while not converged and iterations < cfg.max_iter:
+    while grad_inf >= cfg.grad_tol and iterations < cfg.max_iter:
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(history):
@@ -290,7 +299,7 @@ def lbfgs_minimize(
             direction = -g  # restart on a non-descent direction
 
         alpha, f_new, g_new = _strong_wolfe(
-            objective, x, f, g, direction, cfg.wolfe_c1, cfg.wolfe_c2
+            counted, x, f, g, direction, cfg.wolfe_c1, cfg.wolfe_c2
         )
         if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
             raise NumericalError(f"non-finite objective or gradient at iteration {iterations + 1}")
@@ -302,9 +311,15 @@ def lbfgs_minimize(
             history.append((s, y, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
         iterations += 1
-        converged = bool(np.max(np.abs(g)) < cfg.grad_tol)
+        grad_inf = float(np.max(np.abs(g)))
 
-    return x, TrainReport(final_loss=float(f), iterations=iterations, converged=converged)
+    return x, TrainReport(
+        final_loss=float(f),
+        iterations=iterations,
+        converged=grad_inf < cfg.grad_tol,
+        objective_calls=calls,
+        grad_inf_norm=grad_inf,
+    )
 
 
 def train(
@@ -315,7 +330,9 @@ def train(
 ) -> tuple[MlpModel, TrainReport]:
     """Trains on the given raw dataset; normalization is fit here when not
     supplied. Runs cfg.restarts seeded initializations and keeps the model
-    with the lowest final training loss (ties: lowest restart index)."""
+    with the lowest final training loss (ties: lowest restart index). The
+    report is the kept restart's, with iterations and objective calls summed
+    over all restarts."""
     if train_set.d != spec.input_width:
         raise ValueError(f"dataset width {train_set.d} does not match spec {spec}")
     if norm is None:
@@ -331,7 +348,12 @@ def train(
         for r in range(cfg.restarts)
     ]
     theta, rep = min(runs, key=lambda run: run[1].final_loss)
-    return unflatten(theta, spec, norm), replace(rep, iterations=sum(r.iterations for _, r in runs))
+    totals = replace(
+        rep,
+        iterations=sum(r.iterations for _, r in runs),
+        objective_calls=sum(r.objective_calls for _, r in runs),
+    )
+    return unflatten(theta, spec, norm), totals
 
 
 def predict(m: MlpModel, ds: Dataset) -> np.ndarray:

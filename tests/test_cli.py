@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cluster_mlp import mlp
 from cluster_mlp.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from cluster_mlp.dataset import load_csv, synth_blobs, write_csv
 from cluster_mlp.mlp import load_model
@@ -48,6 +49,17 @@ class TestCluster:
         rep = read_report(tmp_path)
         assert rep["body"]["k"] == 3
         assert sum(rep["body"]["cluster_sizes"]) == len(rep["body"]["labels"])
+
+    def test_header_says_how_clustering_stopped(self, blob_csv, tmp_path):
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path))
+        assert main(["cluster", str(cfg)]) == EXIT_OK
+        rep = read_report(tmp_path)
+        assert rep["header"]["diagnostics"]["stopped_by"] == "gaussian"
+        doc = pipeline_config(blob_csv, tmp_path, algorithm="dbscan", dbscan={"eps": 3.0, "min_pts": 5})
+        del doc["xmeans"]
+        assert main(["cluster", str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
+        rep = read_report(tmp_path)
+        assert rep["header"]["diagnostics"] == {"noise_points": rep["body"]["noise_points"]}
 
     def test_malformed_config_names_key(self, blob_csv, tmp_path, capsys):
         doc = pipeline_config(blob_csv, tmp_path)
@@ -111,9 +123,38 @@ class TestPipeline:
         doc = pipeline_config(blob_csv, tmp_path, train={"max_iter": 3})
         cfg = write_config(tmp_path, "p.json", doc)
         assert main(["pipeline", str(cfg)]) == EXIT_OK
-        header = read_report(tmp_path)["header"]
-        assert header["diagnostics"] == {"converged": False, "iterations": 3}
+        diagnostics = read_report(tmp_path)["header"]["diagnostics"]
+        assert {key: diagnostics[key] for key in ("converged", "iterations")} == {
+            "converged": False, "iterations": 3,
+        }
+        assert set(diagnostics) == {"converged", "iterations", "objective_calls", "grad_inf_norm", "clustering"}
         assert "training not converged (max_iter=3)" in capsys.readouterr().out
+
+    def test_objective_calls_reported_in_header(self, blob_csv, tmp_path, monkeypatch):
+        calls = []
+        real = mlp.loss_and_gradient
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mlp, "loss_and_gradient", counting)
+        doc = pipeline_config(blob_csv, tmp_path, train={"max_iter": 3})
+        assert main(["pipeline", str(write_config(tmp_path, "p.json", doc))]) == EXIT_OK
+        diagnostics = read_report(tmp_path)["header"]["diagnostics"]
+        assert diagnostics["objective_calls"] == len(calls) > 3
+        assert diagnostics["grad_inf_norm"] > 0.0
+
+    def test_clustering_stop_reported_in_header(self, tmp_path):
+        five = tmp_path / "five.csv"
+        write_csv(synth_blobs(5, 40, 3, 30.0, 1.0, seed=7), five)
+        doc = pipeline_config(five, tmp_path, xmeans={"kmin": 2, "kmax": 3, "seed": 0})
+        assert main(["pipeline", str(write_config(tmp_path, "p.json", doc))]) == EXIT_OK
+        report = read_report(tmp_path)
+        assert report["body"]["k"] == 3
+        clustering = report["header"]["diagnostics"]["clustering"]
+        assert clustering["stopped_by"] == "kmax"
+        assert clustering["split_attempts"] >= 1
 
     def test_seed_override_changes_split(self, blob_csv, tmp_path):
         cfg = write_config(tmp_path, "p.json", pipeline_config(blob_csv, tmp_path))

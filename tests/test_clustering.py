@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -452,6 +453,104 @@ class TestXmeans:
         assert r.representatives.shape == (r.k, 3)
         assert set(np.unique(r.labels)) == set(range(r.k))
 
+    @pytest.mark.parametrize("k, d, seed", [(12, 3, 1), (10, 3, 13), (7, 2, 13)])
+    def test_screened_retry_recovers_k(self, k, d, seed):
+        # one blanket retry round stopped these at k = 5, 5 and 3: a cluster
+        # of several blobs lost its random and weighted seedings twice
+        ds = synth_blobs(k, 60, d, 30.0, 1.0, seed=seed)
+        r = xmeans(ds.features, XMeansConfig(kmin=2, kmax=20, seed=seed))
+        assert r.k == k
+        assert r.diagnostics["retry_rounds"] >= 1
+
+    def test_random_seedings_kept_on_retry(self):
+        # the peel alone loses on a 6-blob cluster that a random seeding
+        # splits; retrying with the peel only gave k=6 here
+        ds = synth_blobs(11, 60, 2, 30.0, 1.0, seed=18)
+        r = xmeans(ds.features, XMeansConfig(kmin=2, kmax=20, seed=18))
+        assert r.k == 11
+
+    def test_gaussian_cluster_not_retried(self, monkeypatch):
+        attempts = []
+        real_split = clustering._split_candidates
+
+        def counting_split(*args, **kwargs):
+            attempts.append(kwargs.get("retry", False))
+            return real_split(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "_split_candidates", counting_split)
+        pts = np.random.default_rng(0).normal(size=(500, 3))
+        r = xmeans(pts, XMeansConfig(kmin=1))
+        assert r.k == 1
+        assert attempts == [False]
+        assert r.diagnostics == {
+            "split_rounds": 1, "retry_rounds": 0, "split_attempts": 1, "stopped_by": "gaussian",
+        }
+
+    def test_retry_adds_a_peel_seeding_and_no_draw(self, monkeypatch):
+        pts = np.random.default_rng(0).normal(size=(200, 3))
+        parent = pts.mean(axis=0)
+        inits = []
+        real_lloyd = clustering.lloyd
+
+        def recording_lloyd(*args, **kwargs):
+            inits.append(np.array(args[1]))
+            return real_lloyd(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "lloyd", recording_lloyd)
+        states = []
+        for retry in (False, True):
+            inits.clear()
+            rng = np.random.default_rng(1)
+            clustering._split_candidates(pts, parent, rng, 300, 1e-6, retry=retry)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+        assert len(inits) == 4
+        farthest = pts[np.sum((pts - parent) ** 2, axis=1).argmax()]
+        np.testing.assert_array_equal(inits[-1], np.vstack([parent, farthest]))
+
+    @pytest.mark.parametrize(
+        "points, cfg, stopped_by",
+        [
+            (synth_blobs(5, 60, 3, 30.0, 1.0, seed=3).features, XMeansConfig(kmin=2, kmax=3), "kmax"),
+            (synth_blobs(5, 60, 3, 30.0, 1.0, seed=3).features, XMeansConfig(max_split_rounds=1), "max_split_rounds"),
+            (np.random.default_rng(0).exponential(size=(400, 2)), XMeansConfig(kmin=1), "retry_refused"),
+            (synth_blobs(3, 40, 2, 50.0, 1.0, seed=0).features, XMeansConfig(), "gaussian"),
+        ],
+    )
+    def test_diagnostics_say_why_the_search_stopped(self, points, cfg, stopped_by):
+        r = xmeans(points, cfg)
+        diag = r.diagnostics
+        assert diag["stopped_by"] == stopped_by
+        assert diag["retry_rounds"] <= diag["split_rounds"] <= cfg.max_split_rounds
+        assert diag["split_attempts"] >= r.k - cfg.kmin
+
+
+class TestGaussianScreen:
+    def test_normal_sample_passes(self):
+        pts = np.random.default_rng(0).normal(size=(500, 3))
+        assert clustering._gaussian_screen(pts) < clustering._AD_CRITICAL
+
+    def test_two_blobs_fail(self):
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(size=(200, 3)), rng.normal(size=(200, 3)) + 10.0])
+        assert clustering._gaussian_screen(pts) > clustering._AD_CRITICAL
+
+    def test_degenerate_inputs_score_zero(self):
+        rng = np.random.default_rng(0)
+        assert clustering._gaussian_screen(rng.normal(size=(7, 3)) * 100.0) == 0.0
+        assert clustering._gaussian_screen(np.ones((50, 3))) == 0.0
+
+    def test_matches_textbook_statistic(self):
+        # A*^2 from the sorted standardised projection, with Phi from math.erf
+        x = np.random.default_rng(2).normal(size=(40, 1)) ** 3
+        z = np.sort((x[:, 0] - x.mean()) / x.std(ddof=1))
+        n = z.size
+        cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+        i = np.arange(1, n + 1)
+        a2 = -n - np.mean((2 * i - 1) * (np.log(cdf) + np.log(1.0 - cdf[::-1])))
+        expected = a2 * (1.0 + 4.0 / n - 25.0 / n**2)
+        assert clustering._gaussian_screen(x) == pytest.approx(expected, rel=1e-9)
+
 
 class TestDbscan:
     def test_all_noise(self):
@@ -479,6 +578,12 @@ class TestDbscan:
         oracle_labels, oracle_k = brute_force_dbscan(pts, cfg.eps, cfg.min_pts)
         assert r.k == oracle_k == 2
         assert partitions_equal(r.labels, oracle_labels)
+
+    def test_noise_count_in_diagnostics(self):
+        pts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [50.0, 50.0], [-40.0, 0.0]])
+        r = dbscan(pts, DbscanConfig(eps=1.5, min_pts=3))
+        assert r.k == 1
+        assert r.diagnostics == {"noise_points": 2}
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(123)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cluster_mlp import mlp
-from cluster_mlp.dataset import Dataset, NormalizationParams
+from cluster_mlp.dataset import Dataset, NormalizationParams, fit_normalization
 from cluster_mlp.mlp import (
     MlpModel,
     NetworkSpec,
@@ -347,6 +347,28 @@ class TestTrain:
         ds = make_ds(rng.normal(size=(10, 6)), rng.normal(size=10))
         with pytest.raises(ValueError, match="does not match"):
             train(NetworkSpec(2, 4), ds, TrainConfig(max_iter=5))
+
+    def test_report_counts_objective_calls(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        ds = make_ds(rng.normal(size=(40, 2)), rng.normal(size=40))
+        calls = []
+        real = mlp.loss_and_gradient
+
+        def counting(theta, xs, ys):
+            calls.append(1)
+            return real(theta, xs, ys)
+
+        monkeypatch.setattr(mlp, "loss_and_gradient", counting)
+        model, report = train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=7, restarts=3))
+        # summed over the restarts, line-search evaluations included
+        assert report.objective_calls == len(calls) > 3 * 7
+        # the kept restart's gradient at the returned weights
+        norm = fit_normalization(ds)
+        xs = (ds.features - norm.center) / norm.scale
+        ys = (ds.targets - norm.target_center) / norm.target_scale
+        _, grad = real(flatten(model), xs, ys)
+        assert report.grad_inf_norm == float(np.max(np.abs(grad)))
+        assert report.converged == (report.grad_inf_norm < 1e-6)
 
     def test_restarts_pick_lowest_loss(self):
         rng = np.random.default_rng(6)
