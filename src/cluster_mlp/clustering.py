@@ -96,13 +96,16 @@ class MeanShiftConfig:
             raise ValueError("all mean-shift parameters must be positive")
 
 
-def _weighted_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _weighted_init(
+    points: np.ndarray, k: int, rng: np.random.Generator, points_sq: np.ndarray
+) -> np.ndarray:
     """Seeded distance-weighted seeding: each next center drawn with
-    probability proportional to squared distance to the nearest chosen one."""
+    probability proportional to squared distance to the nearest chosen one.
+    `points_sq` holds the points' row sums of squares."""
     n = points.shape[0]
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 via one matmul, clamped:
     # cancellation can produce tiny negatives.
-    points_sq = (points * points).sum(axis=1)[:, None]
+    points_sq = points_sq[:, None]
     centers = [points[rng.integers(n)]]
     for _ in range(1, k):
         chosen = np.array(centers)
@@ -146,16 +149,23 @@ def lloyd(
     def assign(cents):
         # argmin_j ||x - c_j||^2 = argmin_j (||c_j||^2 - 2 x.c_j); ||x||^2 is
         # added back only for the per-point distances the caller needs.
-        partial = (cents * cents).sum(axis=1)[None, :] - 2.0 * (points @ cents.T)
+        prod = points @ cents.T
+        cc = (cents * cents).sum(axis=1)
         if k == 2:
-            # argmin of two columns without its per-row loop; a tie keeps the
+            # The two columns as 1-D arrays: an (n, 2) broadcast runs inner
+            # loops 2 long. Same arithmetic per element; a tie keeps the
             # first column, as argmin does.
-            lab = (partial[:, 1] < partial[:, 0]).astype(np.intp)
-            point_d2 = np.maximum(points_sq + np.minimum(partial[:, 0], partial[:, 1]), 0.0)
+            p0 = cc[0] - 2.0 * prod[:, 0]
+            p1 = cc[1] - 2.0 * prod[:, 1]
+            lab = (p1 < p0).astype(np.intp)
+            point_d2 = np.maximum(points_sq + np.minimum(p0, p1), 0.0)
+            ones = np.count_nonzero(lab)
+            counts = np.array([n - ones, ones])
         else:
+            partial = cc[None, :] - 2.0 * prod
             lab = partial.argmin(axis=1)
             point_d2 = np.maximum(points_sq + partial[rows, lab], 0.0)
-        counts = np.bincount(lab, minlength=k)
+            counts = np.bincount(lab, minlength=k)
         for j in np.flatnonzero(counts == 0):
             far = int(point_d2.argmax())
             cents[j] = points[far]
@@ -195,8 +205,9 @@ def kmeans(
     if k > n:
         raise ClusteringError(f"k={k} exceeds the number of points n={n}")
     rng = np.random.default_rng(seed)
-    init = _weighted_init(points, k, rng)
-    labels, centroids, _ = lloyd(points, init, max_iter, tol)
+    points_sq = (points * points).sum(axis=1)
+    init = _weighted_init(points, k, rng, points_sq)
+    labels, centroids, _ = lloyd(points, init, max_iter, tol, points_sq)
     return labels, centroids
 
 
@@ -215,13 +226,22 @@ def bic_score(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> 
     k = centroids.shape[0]
     if n <= k:
         raise ClusteringError(f"BIC undefined: n={n} <= k={k}")
-    resid_sq = np.sum((points - centroids[labels]) ** 2)
+    resid_sq = np.sum((points - centroids.take(labels, axis=0)) ** 2)
+    sizes = np.bincount(labels, minlength=k).astype(float)
+    # k logs gathered instead of n; a centroid with no members gets a log(0)
+    # that no label reads.
+    with np.errstate(divide="ignore"):
+        log_share = np.log(sizes / n)
+    return _bic(n, d, k, resid_sq, np.sum(log_share[labels]))
+
+
+def _bic(n: int, d: int, k: int, resid_sq: float, log_prior_sum: float) -> float:
+    """bic_score from the partition's residual sum of squares and the sum of
+    its members' log cluster shares (exactly 0.0 for k = 1)."""
     sigma_sq = resid_sq / (n - k)
     sigma_sq = max(sigma_sq, 1e-12)  # coincident points would zero the variance
-    sizes = np.bincount(labels, minlength=k).astype(float)
-    log_prior = np.log(sizes[labels] / n)
     loglik = float(
-        np.sum(log_prior)
+        log_prior_sum
         - n * d / 2.0 * np.log(2.0 * np.pi * sigma_sq)
         - resid_sq / (2.0 * sigma_sq)
     )
@@ -279,23 +299,28 @@ def _split_candidates(
     d + 1 members, more rows than a child's d + 1 free parameters.
     """
     n, d = members.shape
-    sq = np.sum((members - parent) ** 2, axis=1)
+    # The residuals are bic_score(members, zeros, parent[None])'s, summed the
+    # same way; the array is freed before the trials allocate theirs.
+    resid = members - parent
+    np.square(resid, out=resid)
+    sq = resid.sum(axis=1)
+    resid_sq = resid.sum()
+    del resid
     radius = float(np.sqrt(np.mean(sq)))
     if radius == 0.0:
         return None  # coincident points; nothing to split
+    parent_bic = _bic(n, d, 1, resid_sq, 0.0)
+    # Every Lloyd run below is on the same members.
+    points_sq = (members * members).sum(axis=1)
+    columns = np.ascontiguousarray(members.T)
     inits = []
     for _ in range(tries):
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
         inits.append(np.vstack([parent + radius * u, parent - radius * u]))
-    inits.append(_weighted_init(members, 2, rng))
+    inits.append(_weighted_init(members, 2, rng, points_sq))
     if retry:
         inits.append(np.vstack([parent, members[sq.argmax()]]))
-
-    # Every Lloyd run below is on the same members.
-    points_sq = (members * members).sum(axis=1)
-    columns = np.ascontiguousarray(members.T)
-    parent_bic = bic_score(members, np.zeros(n, dtype=int), parent[None, :])
 
     # Trials run a capped number of Lloyd iterations (enough to rank the
     # seedings); only a winner that already beats the parent is refined to
@@ -345,8 +370,11 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     # keeps its members; a new attempt differs only through its seedings.
     # One attempt can still refuse a cluster that holds several blobs, so a
     # split-free round reopens the clusters that fail the screen instead of
-    # ending the search; a single Gaussian blob passes and stays closed.
+    # ending the search; a single Gaussian blob passes and stays closed. The
+    # screen's verdict is kept per cluster (None until screened), so only
+    # clusters born since the last screen are screened again.
     open_flags: list[bool] = [True] * len(clusters)
+    fails: list[bool | None] = [None] * len(clusters)
     retry = False
     diagnostics = {"split_rounds": 0, "retry_rounds": 0, "split_attempts": 0, "stopped_by": "max_split_rounds"}
 
@@ -358,7 +386,8 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         next_clusters: list[np.ndarray] = []
         next_centroids: list[np.ndarray] = []
         next_open: list[bool] = []
-        for idx, parent, is_open in zip(clusters, centroids, open_flags):
+        next_fails: list[bool | None] = []
+        for idx, parent, is_open, failed in zip(clusters, centroids, open_flags, fails):
             split = None
             if is_open and total < cfg.kmax and idx.size >= 3:
                 diagnostics["split_attempts"] += 1
@@ -372,15 +401,18 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
                 next_centroids.append(sub_centroids[0])
                 next_centroids.append(sub_centroids[1])
                 next_open.extend([True, True])
+                next_fails.extend([None, None])
                 total += 1
                 any_split = True
             else:
                 next_clusters.append(idx)
                 next_centroids.append(parent)
                 next_open.append(False)
+                next_fails.append(failed)
         clusters = next_clusters
         centroids = next_centroids
         open_flags = next_open
+        fails = next_fails
         diagnostics["split_rounds"] += 1
         diagnostics["retry_rounds"] += retry
         if any_split:
@@ -389,7 +421,11 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         if retry:
             diagnostics["stopped_by"] = "retry_refused"
             break
-        open_flags = [_gaussian_screen(points[idx]) > _AD_CRITICAL for idx in clusters]
+        fails = [
+            _gaussian_screen(points[idx]) > _AD_CRITICAL if failed is None else failed
+            for idx, failed in zip(clusters, fails)
+        ]
+        open_flags = fails
         if not any(open_flags):
             diagnostics["stopped_by"] = "gaussian"
             break

@@ -95,6 +95,7 @@ class TrainReport:
     converged: bool
     objective_calls: int  # objective evaluations, line searches included
     grad_inf_norm: float  # ||grad||_inf at the returned point
+    restart_losses: tuple[float, ...]  # each restart's final loss, in restart order
 
 
 def init_model(spec: NetworkSpec, seed: int, norm: NormalizationParams | None = None) -> MlpModel:
@@ -319,6 +320,7 @@ def lbfgs_minimize(
         converged=grad_inf < cfg.grad_tol,
         objective_calls=calls,
         grad_inf_norm=grad_inf,
+        restart_losses=(float(f),),
     )
 
 
@@ -332,7 +334,7 @@ def train(
     supplied. Runs cfg.restarts seeded initializations and keeps the model
     with the lowest final training loss (ties: lowest restart index). The
     report is the kept restart's, with iterations and objective calls summed
-    over all restarts."""
+    over all restarts and every restart's final loss listed."""
     if train_set.d != spec.input_width:
         raise ValueError(f"dataset width {train_set.d} does not match spec {spec}")
     if norm is None:
@@ -352,6 +354,7 @@ def train(
         rep,
         iterations=sum(r.iterations for _, r in runs),
         objective_calls=sum(r.objective_calls for _, r in runs),
+        restart_losses=tuple(r.final_loss for _, r in runs),
     )
     return unflatten(theta, spec, norm), totals
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -127,7 +128,9 @@ class TestPipeline:
         assert {key: diagnostics[key] for key in ("converged", "iterations")} == {
             "converged": False, "iterations": 3,
         }
-        assert set(diagnostics) == {"converged", "iterations", "objective_calls", "grad_inf_norm", "clustering"}
+        assert set(diagnostics) == {
+            "converged", "iterations", "objective_calls", "grad_inf_norm", "restart_losses", "clustering",
+        }
         assert "training not converged (max_iter=3)" in capsys.readouterr().out
 
     def test_objective_calls_reported_in_header(self, blob_csv, tmp_path, monkeypatch):
@@ -144,6 +147,12 @@ class TestPipeline:
         diagnostics = read_report(tmp_path)["header"]["diagnostics"]
         assert diagnostics["objective_calls"] == len(calls) > 3
         assert diagnostics["grad_inf_norm"] > 0.0
+
+    def test_restart_losses_reported_in_header(self, blob_csv, tmp_path):
+        doc = pipeline_config(blob_csv, tmp_path, train={"max_iter": 5, "restarts": 3})
+        assert main(["pipeline", str(write_config(tmp_path, "p.json", doc))]) == EXIT_OK
+        losses = read_report(tmp_path)["header"]["diagnostics"]["restart_losses"]
+        assert len(losses) == 3 and all(math.isfinite(v) and v > 0.0 for v in losses)
 
     def test_clustering_stop_reported_in_header(self, tmp_path):
         five = tmp_path / "five.csv"

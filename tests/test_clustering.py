@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,57 @@ def seed_lloyd(points, init_centroids, max_iter, tol):
     labels, point_d2, _ = assign(centroids)
     history.append(float(point_d2.sum()))
     return labels, centroids, history
+
+
+def seed_bic_score(points, labels, centroids):
+    """Bit-level oracle: bic_score as first written, with an (n, d) gather of
+    the centroids and one log per point."""
+    points = np.asarray(points, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    centroids = np.asarray(centroids, dtype=float)
+    n, d = points.shape
+    k = centroids.shape[0]
+    if n <= k:
+        raise ClusteringError(f"BIC undefined: n={n} <= k={k}")
+    resid_sq = np.sum((points - centroids[labels]) ** 2)
+    sigma_sq = resid_sq / (n - k)
+    sigma_sq = max(sigma_sq, 1e-12)  # coincident points would zero the variance
+    sizes = np.bincount(labels, minlength=k).astype(float)
+    log_prior = np.log(sizes[labels] / n)
+    loglik = float(
+        np.sum(log_prior)
+        - n * d / 2.0 * np.log(2.0 * np.pi * sigma_sq)
+        - resid_sq / (2.0 * sigma_sq)
+    )
+    p = (k - 1) + d * k + 1
+    return loglik - p / 2.0 * np.log(n)
+
+
+def bic_cases():
+    """Seeded (points, labels, centroids) instances for the bit-identity
+    test: k of 1, 2, 3 and 5 with fitted and with perturbed centroids,
+    coincident points whose variance hits the 1e-12 floor, and centroids
+    that no label uses."""
+    rng = np.random.default_rng(2027)
+    cases = []
+    for d in (1, 2, 3, 8, 10):
+        for k in (1, 2, 3, 5):
+            n = int(rng.integers(k + 1, 400))
+            labels = rng.permutation(np.arange(n) % k)
+            pts = rng.normal(size=(n, d)) + 5.0 * labels[:, None]
+            cents = np.array([pts[labels == j].mean(axis=0) for j in range(k)])
+            cases.append((pts, labels, cents))
+            cases.append((pts, labels, cents + rng.normal(0.0, 0.3, size=cents.shape)))
+        pts = np.repeat(rng.normal(size=(2, d)), 6, axis=0)
+        labels = np.repeat([0, 1], 6)
+        cases.append((pts, labels, pts[[0, 6]]))  # zero residual: the floor
+        cases.append((pts, np.zeros(12, dtype=int), pts[[0]] + 1e-9))
+        pts = rng.normal(size=(50, d))
+        labels = rng.integers(0, 2, size=50) * 2  # centroid 1 has no members
+        cases.append((pts, labels, rng.normal(size=(3, d))))
+        labels = np.zeros(50, dtype=int)  # four of five centroids empty
+        cases.append((pts, labels, rng.normal(size=(5, d))))
+    return cases
 
 
 def seed_meanshift(points, cfg):
@@ -382,6 +434,36 @@ class TestBic:
         expected = loglik - p / 2 * math.log(n)
         assert bic_score(pts, labels, cents) == pytest.approx(expected, abs=1e-9)
 
+    def test_bit_identical_to_seed_bic_score(self):
+        for case, (pts, labels, cents) in enumerate(bic_cases()):
+            want = seed_bic_score(pts, labels, cents)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty centroid warns nothing
+                got = bic_score(pts, labels, cents)
+            assert got.hex() == want.hex(), case
+
+    def test_split_parent_score_is_bic_score(self, monkeypatch):
+        # the parent's one-cluster score comes from the split's own residuals
+        rng = np.random.default_rng(3)
+        real_bic = clustering._bic
+        for d in (1, 2, 3, 8, 10):
+            for n in (5, 64, 301, 2000):
+                members = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+                parent = members.mean(axis=0)
+                want = bic_score(members, np.zeros(n, dtype=int), parent[None, :])
+                scores = []
+
+                def recording_bic(*args):
+                    scores.append((args[2], real_bic(*args)))
+                    return scores[-1][1]
+
+                monkeypatch.setattr(clustering, "_bic", recording_bic)
+                clustering._split_candidates(members, parent, rng, 300, 1e-6)
+                monkeypatch.setattr(clustering, "_bic", real_bic)
+                k, got = scores[0]
+                assert k == 1
+                assert got.hex() == want.hex(), (d, n)
+
     def test_n_le_k_rejected(self):
         pts = np.zeros((2, 1))
         with pytest.raises(ClusteringError):
@@ -461,6 +543,23 @@ class TestXmeans:
         r = xmeans(ds.features, XMeansConfig(kmin=2, kmax=20, seed=seed))
         assert r.k == k
         assert r.diagnostics["retry_rounds"] >= 1
+
+    def test_unchanged_clusters_screened_once(self, monkeypatch):
+        # two split-free rounds: the second screens only the clusters born
+        # after the first; screening all of them again took 15 calls here
+        screened = []
+        real_screen = clustering._gaussian_screen
+
+        def recording_screen(members):
+            screened.append(hash(members.tobytes()))
+            return real_screen(members)
+
+        monkeypatch.setattr(clustering, "_gaussian_screen", recording_screen)
+        ds = synth_blobs(10, 60, 3, 30.0, 1.0, seed=13)
+        r = xmeans(ds.features, XMeansConfig(kmin=2, kmax=20, seed=13))
+        assert r.k == 10
+        assert r.diagnostics["retry_rounds"] >= 1 and r.diagnostics["stopped_by"] == "gaussian"
+        assert len(set(screened)) == len(screened) == 11
 
     def test_random_seedings_kept_on_retry(self):
         # the peel alone loses on a 6-blob cluster that a random seeding

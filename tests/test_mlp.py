@@ -370,6 +370,17 @@ class TestTrain:
         assert report.grad_inf_norm == float(np.max(np.abs(grad)))
         assert report.converged == (report.grad_inf_norm < 1e-6)
 
+    def test_report_lists_restart_losses(self):
+        rng = np.random.default_rng(15)
+        ds = make_ds(rng.normal(size=(40, 2)), rng.normal(size=40))
+        _, report = train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=10, restarts=3))
+        assert len(report.restart_losses) == 3
+        assert min(report.restart_losses) == report.final_loss
+        # each restart alone gives its own entry
+        for r, loss in enumerate(report.restart_losses):
+            _, single = train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=10, init_scale_seed=r))
+            assert single.restart_losses == (loss,) == (single.final_loss,)
+
     def test_restarts_pick_lowest_loss(self):
         rng = np.random.default_rng(6)
         ds = make_ds(rng.normal(size=(40, 2)), rng.normal(size=40))
