@@ -7,7 +7,8 @@ For each workload and seed this builds the inputs of perfbench/workloads.py
 at full size, makes one call and hashes its output:
 
 - xmeans-cluster: the X-means labels and centroids;
-- width-sweep: every sweep entry except its training_seconds;
+- width-sweep: each sweep entry's width, test RMS and correlation, and the
+  best width;
 - csv-pipeline: the report body as canonical JSON and the model file bytes;
 - density-cluster: the DBSCAN labels and cluster means, and the MeanShift
   labels and modes.

@@ -343,7 +343,13 @@ def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     timings = {
         "training_per_width": {str(e.hidden_width): e.training_seconds for e in report.entries}
     }
-    _write_report(files.output, body, _header(config_doc, timings))
+    diagnostics = {
+        "per_width": {
+            str(e.hidden_width): {"iterations": e.iterations, "converged": e.converged}
+            for e in report.entries
+        }
+    }
+    _write_report(files.output, body, _header(config_doc, timings) | {"diagnostics": diagnostics})
     print(f"{'width':>6} {'rms_test':>10} {'corr':>8} {'time_s':>8}")
     for e in report.entries:
         print(f"{e.hidden_width:>6} {e.rms_test:>10.4f} {e.correlation:>8.4f} {e.training_seconds:>8.2f}")
@@ -358,16 +364,12 @@ def cmd_stability(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int
         "split_seed": cfg.split.seed,
         "rows": [{"kmin": r.kmin, "k": r.k} for r in rows],
     }
-    timings = {
-        "per_kmin": {
-            str(r.kmin): {"clustering": r.clustering_seconds, "training": r.training_seconds}
-            for r in rows
-        }
-    }
-    _write_report(files.output, body, _header(config_doc, timings))
-    print(f"{'kmin':>5} {'k':>4} {'cluster_s':>10} {'train_s':>9}")
+    timings = {"per_kmin": {str(r.kmin): {"clustering": r.clustering_seconds} for r in rows}}
+    diagnostics = {"per_kmin": {str(r.kmin): {"stopped_by": r.stopped_by} for r in rows}}
+    _write_report(files.output, body, _header(config_doc, timings) | {"diagnostics": diagnostics})
+    print(f"{'kmin':>5} {'k':>4} {'cluster_s':>10}")
     for r in rows:
-        print(f"{r.kmin:>5} {r.k:>4} {r.clustering_seconds:>10.3f} {r.training_seconds:>9.2f}")
+        print(f"{r.kmin:>5} {r.k:>4} {r.clustering_seconds:>10.3f}")
     return EXIT_OK
 
 

@@ -440,76 +440,93 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
 
 
 # Element budget of one block's (rows, window, d) difference array in
-# _eps_neighbors: 2**20 float64 values, 8 MB, whatever n is. The (rows, n)
-# arrays of one MeanShift block hold a quarter of it together.
+# DBSCAN's sweeps (_eps_blocks): 2**20 float64 values, 8 MB, whatever n is.
+# The (rows, n) arrays of one MeanShift block hold a quarter of it together.
 _BLOCK_ELEMENTS = 1 << 20
 
 
-def _eps_neighbors(points: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Indices of the rows within eps of each row, self included.
-
-    A sweep over the rows sorted by their first coordinate: each block of
-    consecutive rows is compared only with the window of rows whose first
-    coordinate lies within 2*eps of the block's. The window is twice as wide
-    as a neighbour can be far, so rounding in its bounds never drops a pair.
-    Each squared distance is the broadcast difference summed by einsum, the
-    same expression for every pair whatever the block, so the eps test sees
-    the values an all-pairs (n, n, d) array would hold.
-    """
-    n, d = points.shape
-    order = np.argsort(points[:, 0], kind="stable")
-    swept = points[order]
-    first = swept[:, 0]
-    lo = np.searchsorted(first, first - 2.0 * eps, side="left")
-    hi = np.searchsorted(first, first + 2.0 * eps, side="right")
-    neighbors: list[np.ndarray] = [order[:0]] * n
+def _eps_blocks(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, d: int):
+    """(block, start, stop): consecutive runs of `rows`, ascending positions
+    in DBSCAN's sweep order, with the window [start, stop) their rows share.
+    lo and hi never decrease, so that window holds every row's. Each run is
+    halved until its (rows, window, d) difference array fits the budget; a
+    single row always runs."""
     a = 0
-    while a < n:
-        # lo and hi never decrease, so rows [a, b) share the window
-        # [lo[a], hi[b - 1]); halve the block until that fits the budget.
-        b = min(n, a + max(1, _BLOCK_ELEMENTS // (d * (hi[a] - lo[a]))))
-        while b - a > 1 and (b - a) * (hi[b - 1] - lo[a]) * d > _BLOCK_ELEMENTS:
+    while a < rows.size:
+        first = rows[a]
+        b = min(rows.size, a + max(1, _BLOCK_ELEMENTS // (d * (hi[first] - lo[first]))))
+        while b - a > 1 and (b - a) * (hi[rows[b - 1]] - lo[first]) * d > _BLOCK_ELEMENTS:
             b = a + (b - a) // 2
-        diff = swept[a:b, None, :] - swept[None, lo[a] : hi[b - 1], :]
-        within = np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
-        ids = order[lo[a] + np.nonzero(within)[1]]
-        cuts = np.cumsum(within.sum(axis=1))[:-1]
-        for row, nb in zip(order[a:b], np.split(ids, cuts)):
-            neighbors[row] = nb
+        yield rows[a:b], lo[first], hi[rows[b - 1]]
         a = b
-    return neighbors
+
+
+def _within_eps(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+    """(rows of x, rows of y) booleans: the pair lies within eps. Each
+    squared distance is the broadcast difference summed by einsum, the same
+    expression for every pair whatever the block, so the test sees the
+    values an all-pairs (n, n, d) array would hold."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
 
 
 def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
     """Density-connected expansion with deterministic input-order seeding.
     Core points have >= min_pts neighbors within eps, self included.
 
-    Each cluster starts at the first unlabelled core in input order and
-    grows one whole frontier at a time. Its members are the points reachable
-    through cores from that seed that no earlier cluster claimed, so the
-    order of visits inside a cluster cannot change any label.
+    Both passes sweep the rows sorted by their first coordinate: a block of
+    rows is compared only with the window of rows whose first coordinate
+    lies within 2*eps of the block's. The window is twice as wide as a
+    neighbour can be far, so rounding in its bounds never drops a pair.
+    The first pass counts each row's neighbours to flag the cores and keeps
+    no lists. The second grows each cluster from the first unlabelled core
+    in input order, one whole frontier at a time: the frontier's cores, in
+    sweep order, are compared in blocks with the still unlabelled rows of
+    their windows, and every row a block reaches is labelled at once, so it
+    enters one frontier only. A cluster's members are the points reachable
+    through cores from its seed that no earlier cluster claimed, so the
+    order of visits inside a cluster cannot change any label. Memory is
+    O(n + block).
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    neighbors = _eps_neighbors(points, cfg.eps)
-    is_core = np.array([nb.size for nb in neighbors], dtype=int) >= cfg.min_pts
+    n, d = points.shape
+    order = np.argsort(points[:, 0], kind="stable")
+    swept = points[order]
+    first = swept[:, 0]
+    lo = np.searchsorted(first, first - 2.0 * cfg.eps, side="left")
+    hi = np.searchsorted(first, first + 2.0 * cfg.eps, side="right")
+
+    # Below, rows are positions in the sweep order; order[p] is the input row.
+    counts = np.empty(n, dtype=np.intp)
+    for block, start, stop in _eps_blocks(lo, hi, np.arange(n), d):
+        counts[block] = _within_eps(swept[block], swept[start:stop], cfg.eps).sum(axis=1)
+    core = counts >= cfg.min_pts
+    cores = np.flatnonzero(core)
 
     labels = np.full(n, -1, dtype=int)
+    unlabelled = np.ones(n, dtype=bool)
     k = 0
-    for i in np.flatnonzero(is_core):
-        if labels[i] != -1:
+    for seed in cores[np.argsort(order[cores])]:
+        if not unlabelled[seed]:
             continue
-        grown = np.array([i])
-        while grown.size:
-            labels[grown] = k
-            frontier = np.concatenate([neighbors[j] for j in grown[is_core[grown]]] or [grown[:0]])
-            grown = np.unique(frontier[labels[frontier] == -1])
+        unlabelled[seed] = False
+        labels[order[seed]] = k
+        frontier = np.array([seed])
+        while frontier.size:
+            grown = []
+            for block, start, stop in _eps_blocks(lo, hi, frontier, d):
+                window = start + np.flatnonzero(unlabelled[start:stop])
+                reached = window[_within_eps(swept[block], swept[window], cfg.eps).any(axis=0)]
+                unlabelled[reached] = False
+                labels[order[reached]] = k
+                grown.append(reached[core[reached]])
+            frontier = np.sort(np.concatenate(grown))
         k += 1
 
     if k > 0:
         reps = np.array([points[labels == j].mean(axis=0) for j in range(k)])
     else:
-        reps = np.empty((0, points.shape[1]))
+        reps = np.empty((0, d))
     return ClusteringResult(labels, reps, k, Algorithm.DBSCAN, {"noise_points": int(np.sum(labels == -1))})
 
 
@@ -588,10 +605,7 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     columns = np.ascontiguousarray(points.T)
-    # A quarter of the budget is as fast as all of it at n=1500, d=3. Heap
-    # blocks that glibc keeps after a free are reused by arrays that small,
-    # where 8 MB of them next to DBSCAN's blocks raised the peak RSS of a
-    # DBSCAN-then-MeanShift loop by 6 MB.
+    # A quarter of the budget is no slower than all of it at n=1500, d=3.
     block = max(1, _BLOCK_ELEMENTS // (4 * max(n, 1) * _sq_dists_live(d)))
     # -s / (2 h^2) == s / -(2 h^2) exactly: rounding to nearest is symmetric.
     scale = -(2.0 * cfg.bandwidth**2)

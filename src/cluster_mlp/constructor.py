@@ -95,6 +95,8 @@ class SweepEntry:
     rms_test: float
     correlation: float
     training_seconds: float
+    iterations: int  # TrainReport.iterations of this width's training
+    converged: bool  # TrainReport.converged
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class StabilityRow:
     kmin: int
     k: int
     clustering_seconds: float
-    training_seconds: float
+    stopped_by: str  # X-means' diagnostics["stopped_by"]
 
 
 def _run_clustering(features: np.ndarray, cfg: PipelineConfig) -> ClusteringResult:
@@ -222,7 +224,7 @@ def sweep_hidden(
     for w in sorted(widths):
         spec = NetworkSpec(input_width=train_raw.d, hidden_width=w)
         start = time.perf_counter()
-        model, _ = mlp.train(spec, train_raw, train_cfg, norm=norm)
+        model, trained = mlp.train(spec, train_raw, train_cfg, norm=norm)
         training_seconds = time.perf_counter() - start
         pred = mlp.predict(model, test_raw)
         entries.append(
@@ -231,6 +233,8 @@ def sweep_hidden(
                 rms_test=metrics.rms(pred, test_raw.targets),
                 correlation=metrics.correlation(pred, test_raw.targets),
                 training_seconds=training_seconds,
+                iterations=trained.iterations,
+                converged=trained.converged,
             )
         )
     best = min(entries, key=lambda e: (e.rms_test, e.hidden_width))
@@ -238,21 +242,29 @@ def sweep_hidden(
 
 
 def kmin_stability(ds: Dataset, kmins: list[int], cfg: PipelineConfig) -> list[StabilityRow]:
-    """One full pipeline run per kmin over a shared split and seed."""
+    """The pipeline's cluster count for each kmin: the data is prepared and
+    normalized once, as the pipeline does, and clustered once per kmin with
+    the same seed. Nothing is trained."""
     if cfg.algorithm is not Algorithm.XMEANS:
         raise ValueError("kmin stability requires the X-means algorithm")
     if not kmins:
         raise ValueError("kmins must be non-empty")
+    train_raw, _, norm = prepare(ds, cfg.split, cfg.cleaning)
+    train_norm = apply_normalization(train_raw, norm)
     rows = []
     for kmin in kmins:
         xcfg = replace(cfg.xmeans, kmin=kmin, kmax=max(kmin, cfg.xmeans.kmax))
-        report = run_pipeline(ds, replace(cfg, xmeans=xcfg))
+        start = time.perf_counter()
+        try:
+            spec, clustered = construct_architecture(train_norm, replace(cfg, xmeans=xcfg))
+        except Exception as e:
+            raise PipelineError("clustering", e) from e
         rows.append(
             StabilityRow(
                 kmin=kmin,
-                k=report.k,
-                clustering_seconds=report.clustering_seconds,
-                training_seconds=report.training_seconds,
+                k=spec.hidden_width,
+                clustering_seconds=time.perf_counter() - start,
+                stopped_by=clustered.diagnostics["stopped_by"],
             )
         )
     return rows

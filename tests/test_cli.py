@@ -197,6 +197,17 @@ class TestSweep:
         assert body["best_hidden_width"] == 4
         assert len(body["entries"]) == 1
 
+    def test_header_reports_training_per_width(self, blob_csv, tmp_path):
+        doc = pipeline_config(blob_csv, tmp_path, widths=[2, 1], train={"max_iter": 5})
+        for key in ("algorithm", "xmeans"):
+            del doc[key]
+        assert main(["sweep", str(write_config(tmp_path, "s.json", doc))]) == EXIT_OK
+        report = read_report(tmp_path)
+        assert report["header"]["diagnostics"] == {
+            "per_width": {w: {"iterations": 5, "converged": False} for w in ("1", "2")}
+        }
+        assert all(set(e) == {"hidden_width", "rms_test", "correlation"} for e in report["body"]["entries"])
+
     def test_empty_widths_is_config_error(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path, widths=[])
         for key in ("algorithm", "xmeans"):
@@ -213,6 +224,16 @@ class TestStability:
         body = read_report(tmp_path)["body"]
         assert [r["kmin"] for r in body["rows"]] == [2, 3]
         assert body["split_seed"] == 0
+
+    def test_header_says_how_each_kmin_stopped(self, blob_csv, tmp_path, capsys):
+        doc = pipeline_config(blob_csv, tmp_path, kmins=[2, 3])
+        assert main(["stability", str(write_config(tmp_path, "k.json", doc))]) == EXIT_OK
+        header = read_report(tmp_path)["header"]
+        assert header["diagnostics"] == {
+            "per_kmin": {"2": {"stopped_by": "gaussian"}, "3": {"stopped_by": "gaussian"}}
+        }
+        assert all(set(t) == {"clustering"} for t in header["timings_seconds"]["per_kmin"].values())
+        assert "train_s" not in capsys.readouterr().out
 
     def test_empty_kmins_is_config_error(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path, kmins=[])

@@ -303,6 +303,29 @@ def dbscan_cases():
     return cases
 
 
+def dbscan_frontier_cases():
+    """Seeded (points, eps, min_pts) instances whose frontiers stress the
+    expansion: long chains and far-apart rows in the sweep order."""
+    rng = np.random.default_rng(2025)
+    cases = []
+    for d in (1, 2, 3):
+        # A permuted chain at spacing 0.1 < eps: one BFS level per link.
+        n = int(rng.integers(150, 300))
+        direction = rng.normal(size=d)
+        direction /= np.linalg.norm(direction)
+        pts = np.arange(n)[:, None] * 0.1 * direction + rng.normal(0, 0.01, size=(n, d))
+        cases.append((pts[rng.permutation(n)], 0.15, 3))  # the two ends are border points
+    for d in (2, 3, 5):
+        # Strips that span the same first coordinates but sit apart in the
+        # others, so each frontier's rows interleave with the other strips'.
+        n = int(rng.integers(300, 500))
+        pts = rng.normal(0, 0.1, size=(n, d))
+        pts[:, 0] = rng.uniform(0, 10, size=n)
+        pts[:, 1] += 3.0 * rng.integers(4, size=n)
+        cases.append((pts, float(rng.uniform(0.4, 0.8)), int(rng.integers(2, 5))))
+    return cases
+
+
 class TestKmeans:
     def test_two_blob_optimum(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
@@ -711,7 +734,7 @@ class TestDbscan:
         # a small budget forces one-row and many-row blocks at tiny n
         if block_elements is not None:
             monkeypatch.setattr(clustering, "_BLOCK_ELEMENTS", block_elements)
-        for case, (pts, eps, min_pts) in enumerate(dbscan_cases()):
+        for case, (pts, eps, min_pts) in enumerate([*dbscan_cases(), *dbscan_frontier_cases()]):
             r = dbscan(pts, DbscanConfig(eps=eps, min_pts=min_pts))
             labels, reps, k = seed_dbscan(pts, eps, min_pts)
             assert r.k == k, f"case {case}"
@@ -721,6 +744,20 @@ class TestDbscan:
     def test_peak_memory_bounded(self):
         # an (n, n, d) float64 difference array alone would be 216 MB here
         ds = synth_blobs(5, 600, 3, 30.0, 1.0, seed=1)
+        pts = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
+        tracemalloc.start()
+        try:
+            r = dbscan(pts, DbscanConfig(eps=0.3, min_pts=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.k == 5
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_peak_memory_bounded_without_neighbour_lists(self):
+        # every row lies within eps of its blob's 2,000 rows: index lists of
+        # those 20M pairs alone would take 160 MB
+        ds = synth_blobs(5, 2000, 3, 30.0, 1.0, seed=1)
         pts = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
         tracemalloc.start()
         try:

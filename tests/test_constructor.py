@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cluster_mlp import mlp
 from cluster_mlp.clustering import Algorithm, DbscanConfig, MeanShiftConfig, XMeansConfig
 from cluster_mlp.constructor import (
     PipelineConfig,
@@ -22,7 +23,7 @@ from cluster_mlp.dataset import (
     fit_normalization,
     synth_blobs,
 )
-from cluster_mlp.mlp import TrainConfig
+from cluster_mlp.mlp import NetworkSpec, TrainConfig
 
 FAST_TRAIN = TrainConfig(max_iter=60)
 
@@ -237,6 +238,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_hidden(ds, [], SplitSpec(0.7, 0), FAST_TRAIN)
 
+    def test_entries_report_their_training(self):
+        ds = synth_blobs(3, 40, 2, 20.0, 1.0, seed=1)
+        train_cfg = TrainConfig(max_iter=5, restarts=2)
+        rep = sweep_hidden(ds, [1, 3], SplitSpec(0.7, 0), train_cfg)
+        train_raw, _, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
+        for e in rep.entries:
+            _, trained = mlp.train(NetworkSpec(2, e.hidden_width), train_raw, train_cfg, norm=norm)
+            assert (e.iterations, e.converged) == (trained.iterations, trained.converged) == (10, False)
+
 
 class TestKminStability:
     def test_collapsed_search(self):
@@ -266,3 +276,26 @@ class TestKminStability:
         ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             kmin_stability(ds, [], xmeans_cfg())
+
+    def test_trains_nothing(self, monkeypatch):
+        calls = []
+        train = mlp.train
+        monkeypatch.setattr(mlp, "train", lambda *a, **kw: calls.append(a) or train(*a, **kw))
+        ds = synth_blobs(4, 40, 3, 40.0, 1.0, seed=1)
+        rows = kmin_stability(ds, [2, 3], xmeans_cfg())
+        assert [r.k for r in rows] == [4, 4]
+        assert calls == []
+
+    def test_rows_match_the_pipeline(self):
+        ds = synth_blobs(5, 40, 3, 30.0, 1.0, seed=7)
+        rows = kmin_stability(ds, [2, 4], xmeans_cfg(kmax=3))
+        assert [(r.kmin, r.k, r.stopped_by) for r in rows] == [(2, 3, "kmax"), (4, 4, "kmax")]
+        for r in rows:
+            report = run_pipeline(ds, xmeans_cfg(kmin=r.kmin, kmax=max(r.kmin, 3)))
+            assert (report.k, report.clustering_diagnostics["stopped_by"]) == (r.k, r.stopped_by)
+
+    def test_clustering_failure_names_the_stage(self):
+        ds = synth_blobs(2, 5, 2, 20.0, 1.0, seed=0)
+        with pytest.raises(PipelineError, match="clustering") as info:
+            kmin_stability(ds, [50], xmeans_cfg())
+        assert info.value.stage == "clustering"
