@@ -16,8 +16,7 @@ import datetime
 import hashlib
 import json
 import sys
-import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -161,16 +160,15 @@ ALGORITHM_CONFIGS = {
 }
 
 
-def _parse_algorithm(doc: dict) -> tuple[Algorithm, dict]:
+def _parse_algorithm(doc: dict) -> tuple[Algorithm, object]:
+    """The named algorithm and its parsed config section."""
     name = doc.get("algorithm")
     try:
         algo = Algorithm(name)
     except ValueError:
         choices = [a.value for a in Algorithm]
         raise ConfigError(f"config: algorithm must be one of {choices}, got {name!r}") from None
-    parsed = _parse_section(doc.get(algo.value, {}), ALGORITHM_CONFIGS[algo], algo.value)
-    # xmeans is named even when unused: PipelineConfig defaults it to a config
-    return algo, {"xmeans": None, algo.value: parsed}
+    return algo, _parse_section(doc.get(algo.value, {}), ALGORITHM_CONFIGS[algo], algo.value)
 
 
 # Top-level keys besides the RunFiles ones: those of every command, then
@@ -197,7 +195,7 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, Run
         _positive_ints(doc, "widths")
         return PipelineConfig(split=split, train_cfg=train_cfg, cleaning=cleaning), files
 
-    algo, algo_kwargs = _parse_algorithm(doc)
+    algo, algo_cfg = _parse_algorithm(doc)
     if command == "stability":
         if algo is not Algorithm.XMEANS:
             raise ConfigError("config: stability requires algorithm 'xmeans'")
@@ -206,12 +204,11 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, Run
     validation = {k: doc[k] for k in ("validation_fraction", "validation_seed") if k in doc}
     try:
         cfg = PipelineConfig(
-            algorithm=algo,
             split=split,
             train_cfg=train_cfg,
             cleaning=cleaning,
             **validation,
-            **algo_kwargs,
+            **{algo.value: algo_cfg},
         )
     except ValueError as e:
         raise ConfigError(f"config: {e}") from e
@@ -224,19 +221,6 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, Run
 def _config_digest(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _metric_dict(block: metrics.MetricBlock | None) -> dict | None:
-    if block is None:
-        return None
-    return {
-        "rms": block.rms,
-        "norm_rms": block.norm_rms,
-        "bias": block.bias,
-        "outlier_fraction": block.outlier_fraction,
-        "correlation": block.correlation,
-        "n": block.n,
-    }
 
 
 def _write_report(path, doc: dict, header: dict) -> None:
@@ -264,10 +248,7 @@ def _load_input(files: RunFiles) -> Dataset:
 
 def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     train_raw, _, norm = constructor.prepare(_load_input(files), cfg.split, cfg.cleaning)
-    train_norm = apply_normalization(train_raw, norm)
-    start = time.perf_counter()
-    _, result = constructor.construct_architecture(train_norm, cfg)
-    clustering_seconds = time.perf_counter() - start
+    _, result, clustering_seconds = constructor.timed_clustering(apply_normalization(train_raw, norm), cfg)
 
     sizes = np.bincount(result.labels[result.labels >= 0], minlength=result.k)
     body = {
@@ -287,17 +268,18 @@ def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
 
 def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     ds = _load_input(files)
-    report, model = constructor.run_pipeline_with_model(ds, cfg)
+    report = constructor.run_pipeline(ds, cfg)
     if files.model_output:
-        mlp.save_model(model, files.model_output)
+        mlp.save_model(report.model, files.model_output)
+    validation = report.metrics_validation
     body = {
         "architecture": str(report.spec),
         "k": report.k,
         "train_rows": report.train_rows,
         "test_rows": report.test_rows,
-        "metrics_train": _metric_dict(report.metrics_train),
-        "metrics_validation": _metric_dict(report.metrics_validation),
-        "metrics_test": _metric_dict(report.metrics_test),
+        "metrics_train": asdict(report.metrics_train),
+        "metrics_validation": None if validation is None else asdict(validation),
+        "metrics_test": asdict(report.metrics_test),
     }
     timings = {
         "clustering": report.clustering_seconds,
@@ -413,7 +395,7 @@ def cmd_evaluate(config_doc: dict) -> int:
         block = metrics.metric_block(pred, ds.targets, threshold)
     except ValueError as e:
         raise NumericalError(str(e)) from e
-    body = {"metrics": _metric_dict(block), "outlier_threshold": threshold}
+    body = {"metrics": asdict(block), "outlier_threshold": threshold}
     _write_report(spec.output, body, _header(config_doc, {}))
     print(f"n={block.n}  rms={block.rms:.4f}  norm_rms={block.norm_rms:.4f}  "
           f"bias={block.bias:.4f}  outliers>{threshold}={block.outlier_fraction:.2%}  "

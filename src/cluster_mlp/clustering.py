@@ -362,19 +362,18 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     rng = np.random.default_rng(cfg.seed)
 
     base_labels, _ = kmeans(points, cfg.kmin, cfg.seed, cfg.kmeans_max_iter, cfg.kmeans_tol)
-    clusters: list[np.ndarray] = [
-        np.flatnonzero(base_labels == j) for j in range(cfg.kmin)
-    ]
-    centroids: list[np.ndarray] = [points[idx].mean(axis=0) for idx in clusters]
-    # Splits never reassign points across clusters, so a refused cluster
-    # keeps its members; a new attempt differs only through its seedings.
-    # One attempt can still refuse a cluster that holds several blobs, so a
-    # split-free round reopens the clusters that fail the screen instead of
-    # ending the search; a single Gaussian blob passes and stays closed. The
-    # screen's verdict is kept per cluster (None until screened), so only
-    # clusters born since the last screen are screened again.
-    open_flags: list[bool] = [True] * len(clusters)
-    fails: list[bool | None] = [None] * len(clusters)
+    # One (rows, centroid, open, verdict) entry per cluster. Splits never
+    # reassign points across clusters, so a refused cluster keeps its
+    # members; a new attempt differs only through its seedings. One attempt
+    # can still refuse a cluster that holds several blobs, so a split-free
+    # round reopens the clusters that fail the screen instead of ending the
+    # search; a single Gaussian blob passes and stays closed. The screen's
+    # verdict is kept per cluster (None until screened), so only clusters
+    # born since the last screen are screened again.
+    clusters: list[tuple[np.ndarray, np.ndarray, bool, bool | None]] = []
+    for j in range(cfg.kmin):
+        idx = np.flatnonzero(base_labels == j)
+        clusters.append((idx, points[idx].mean(axis=0), True, None))
     retry = False
     diagnostics = {"split_rounds": 0, "retry_rounds": 0, "split_attempts": 0, "stopped_by": "max_split_rounds"}
 
@@ -383,11 +382,8 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
             break
         any_split = False
         total = len(clusters)
-        next_clusters: list[np.ndarray] = []
-        next_centroids: list[np.ndarray] = []
-        next_open: list[bool] = []
-        next_fails: list[bool | None] = []
-        for idx, parent, is_open, failed in zip(clusters, centroids, open_flags, fails):
+        next_clusters = []
+        for idx, parent, is_open, verdict in clusters:
             split = None
             if is_open and total < cfg.kmax and idx.size >= 3:
                 diagnostics["split_attempts"] += 1
@@ -396,23 +392,13 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
                 )
             if split is not None:
                 sub_labels, sub_centroids = split
-                next_clusters.append(idx[sub_labels == 0])
-                next_clusters.append(idx[sub_labels == 1])
-                next_centroids.append(sub_centroids[0])
-                next_centroids.append(sub_centroids[1])
-                next_open.extend([True, True])
-                next_fails.extend([None, None])
+                next_clusters.append((idx[sub_labels == 0], sub_centroids[0], True, None))
+                next_clusters.append((idx[sub_labels == 1], sub_centroids[1], True, None))
                 total += 1
                 any_split = True
             else:
-                next_clusters.append(idx)
-                next_centroids.append(parent)
-                next_open.append(False)
-                next_fails.append(failed)
+                next_clusters.append((idx, parent, False, verdict))
         clusters = next_clusters
-        centroids = next_centroids
-        open_flags = next_open
-        fails = next_fails
         diagnostics["split_rounds"] += 1
         diagnostics["retry_rounds"] += retry
         if any_split:
@@ -421,12 +407,13 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         if retry:
             diagnostics["stopped_by"] = "retry_refused"
             break
-        fails = [
-            _gaussian_screen(points[idx]) > _AD_CRITICAL if failed is None else failed
-            for idx, failed in zip(clusters, fails)
-        ]
-        open_flags = fails
-        if not any(open_flags):
+        screened = []
+        for idx, centroid, _, verdict in clusters:
+            if verdict is None:
+                verdict = _gaussian_screen(points[idx]) > _AD_CRITICAL
+            screened.append((idx, centroid, verdict, verdict))  # a failing cluster reopens
+        clusters = screened
+        if not any(is_open for _, _, is_open, _ in clusters):
             diagnostics["stopped_by"] = "gaussian"
             break
         retry = True
@@ -434,9 +421,10 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         diagnostics["stopped_by"] = "kmax"
 
     labels = np.empty(n, dtype=int)
-    for j, idx in enumerate(clusters):
+    for j, (idx, _, _, _) in enumerate(clusters):
         labels[idx] = j
-    return ClusteringResult(labels, np.array(centroids), len(clusters), Algorithm.XMEANS, diagnostics)
+    centroids = np.array([centroid for _, centroid, _, _ in clusters])
+    return ClusteringResult(labels, centroids, len(clusters), Algorithm.XMEANS, diagnostics)
 
 
 # Element budget of one block's (rows, window, d) difference array in

@@ -8,9 +8,8 @@ kmin stability study for X-means.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import clustering, metrics, mlp
 from .clustering import (
@@ -46,8 +45,11 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    algorithm: Algorithm = Algorithm.XMEANS
-    xmeans: XMeansConfig | None = field(default_factory=XMeansConfig)
+    """The config of one algorithm, xmeans, dbscan or meanshift, names the
+    algorithm that sizes the network; with none set, X-means runs with its
+    defaults."""
+
+    xmeans: XMeansConfig | None = None
     dbscan: DbscanConfig | None = None
     meanshift: MeanShiftConfig | None = None
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -58,16 +60,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         require_field_types(self)
-        present = {
-            Algorithm.XMEANS: self.xmeans,
-            Algorithm.DBSCAN: self.dbscan,
-            Algorithm.MEANSHIFT: self.meanshift,
-        }
-        if present.get(self.algorithm) is None:
-            raise ValueError(f"missing config for algorithm {self.algorithm.value}")
-        others = [a for a, c in present.items() if a is not self.algorithm and c is not None]
-        if others:
-            raise ValueError(f"extra algorithm configs present: {[a.value for a in others]}")
+        present = [a.value for a in Algorithm if getattr(self, a.value) is not None]
+        if len(present) > 1:
+            raise ValueError(f"more than one algorithm config: {present}")
+        if not present:
+            object.__setattr__(self, "xmeans", XMeansConfig())
+
+    @property
+    def algorithm(self) -> Algorithm:
+        return next(a for a in Algorithm if getattr(self, a.value) is not None)
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,7 @@ class PipelineReport:
     test_rows: int
     training: TrainReport
     clustering_diagnostics: dict  # ClusteringResult.diagnostics
+    model: mlp.MlpModel = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.spec.hidden_width != self.k:
@@ -113,14 +115,13 @@ class StabilityRow:
     stopped_by: str  # X-means' diagnostics["stopped_by"]
 
 
-def _run_clustering(features: np.ndarray, cfg: PipelineConfig) -> ClusteringResult:
-    if cfg.algorithm is Algorithm.XMEANS:
-        return clustering.xmeans(features, cfg.xmeans)
-    if cfg.algorithm is Algorithm.DBSCAN:
-        return clustering.dbscan(features, cfg.dbscan)
-    if cfg.algorithm is Algorithm.MEANSHIFT:
-        return clustering.meanshift(features, cfg.meanshift)
-    raise ValueError(f"unsupported pipeline algorithm: {cfg.algorithm}")
+@contextmanager
+def _stage(name: str):
+    """Re-raises a failure inside the block as PipelineError naming the stage."""
+    try:
+        yield
+    except Exception as e:
+        raise PipelineError(name, e) from e
 
 
 def construct_architecture(
@@ -128,7 +129,9 @@ def construct_architecture(
 ) -> tuple[NetworkSpec, ClusteringResult]:
     """Clusters the (normalized) training features only; the hidden width is
     the resulting cluster count. Targets never enter the clustering input."""
-    result = _run_clustering(train.features, cfg)
+    # An algorithm's value names both its config field and its function.
+    algo = cfg.algorithm.value
+    result = getattr(clustering, algo)(train.features, getattr(cfg, algo))
     if result.k < 1:  # DBSCAN labelled every point noise
         raise ClusteringError("no clusters; architecture undefined")
     return NetworkSpec(input_width=train.d, hidden_width=result.k), result
@@ -141,45 +144,35 @@ def prepare(
     unlabeled and sentinel rows, make the holdout split, and fit the
     normalization on the training part only. Returns the raw train and test
     parts and that normalization."""
-    try:
-        cleaned = filter_labeled(ds, cleaning)
-        cleaned = clean_sentinels(cleaned, cleaning)
-    except Exception as e:
-        raise PipelineError("cleaning", e) from e
-
-    try:
+    with _stage("cleaning"):
+        cleaned = clean_sentinels(filter_labeled(ds, cleaning), cleaning)
+    with _stage("split"):
         train_raw, test_raw = holdout_split(cleaned, split)
-    except Exception as e:
-        raise PipelineError("split", e) from e
     return train_raw, test_raw, fit_normalization(train_raw)
+
+
+def timed_clustering(
+    train_norm: Dataset, cfg: PipelineConfig
+) -> tuple[NetworkSpec, ClusteringResult, float]:
+    """The clustering stage of the pipeline, the kmin study and `cluster`:
+    construct_architecture on the normalized training part, with its wall
+    time in seconds. A failure raises PipelineError naming the stage."""
+    start = time.perf_counter()
+    with _stage("clustering"):
+        spec, result = construct_architecture(train_norm, cfg)
+    return spec, result, time.perf_counter() - start
 
 
 def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
     """Full method on a raw dataset: clean, split, normalize (fit on train
-    only), cluster to pick the architecture, train, evaluate."""
-    report, _ = run_pipeline_with_model(ds, cfg)
-    return report
-
-
-def run_pipeline_with_model(
-    ds: Dataset, cfg: PipelineConfig
-) -> tuple[PipelineReport, mlp.MlpModel]:
-    """run_pipeline, also returning the trained model for serialization."""
+    only), cluster to pick the architecture, train, evaluate. The report
+    carries the trained model."""
     train_raw, test_raw, norm = prepare(ds, cfg.split, cfg.cleaning)
-    train_norm = apply_normalization(train_raw, norm)
+    spec, clustered, clustering_seconds = timed_clustering(apply_normalization(train_raw, norm), cfg)
 
     start = time.perf_counter()
-    try:
-        spec, clustered = construct_architecture(train_norm, cfg)
-    except Exception as e:
-        raise PipelineError("clustering", e) from e
-    clustering_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    try:
+    with _stage("training"):
         model, train_report = mlp.train(spec, train_raw, cfg.train_cfg, norm=norm)
-    except Exception as e:
-        raise PipelineError("training", e) from e
     training_seconds = time.perf_counter() - start
 
     # reported-only validation cut carved from the training portion
@@ -191,7 +184,7 @@ def run_pipeline_with_model(
         )
         val_block = metrics.metric_block(mlp.predict(model, val_part), val_part.targets)
 
-    report = PipelineReport(
+    return PipelineReport(
         k=spec.hidden_width,
         spec=spec,
         clustering_seconds=clustering_seconds,
@@ -203,8 +196,8 @@ def run_pipeline_with_model(
         test_rows=test_raw.n,
         training=train_report,
         clustering_diagnostics=clustered.diagnostics,
+        model=model,
     )
-    return report, model
 
 
 def sweep_hidden(
@@ -224,7 +217,8 @@ def sweep_hidden(
     for w in sorted(widths):
         spec = NetworkSpec(input_width=train_raw.d, hidden_width=w)
         start = time.perf_counter()
-        model, trained = mlp.train(spec, train_raw, train_cfg, norm=norm)
+        with _stage("training"):
+            model, trained = mlp.train(spec, train_raw, train_cfg, norm=norm)
         training_seconds = time.perf_counter() - start
         pred = mlp.predict(model, test_raw)
         entries.append(
@@ -254,16 +248,12 @@ def kmin_stability(ds: Dataset, kmins: list[int], cfg: PipelineConfig) -> list[S
     rows = []
     for kmin in kmins:
         xcfg = replace(cfg.xmeans, kmin=kmin, kmax=max(kmin, cfg.xmeans.kmax))
-        start = time.perf_counter()
-        try:
-            spec, clustered = construct_architecture(train_norm, replace(cfg, xmeans=xcfg))
-        except Exception as e:
-            raise PipelineError("clustering", e) from e
+        spec, clustered, seconds = timed_clustering(train_norm, replace(cfg, xmeans=xcfg))
         rows.append(
             StabilityRow(
                 kmin=kmin,
                 k=spec.hidden_width,
-                clustering_seconds=time.perf_counter() - start,
+                clustering_seconds=seconds,
                 stopped_by=clustered.diagnostics["stopped_by"],
             )
         )

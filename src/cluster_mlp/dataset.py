@@ -102,13 +102,14 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, idx: np.ndarray) -> "Dataset":
+        """The rows at idx. The metadata describes the rows of this dataset
+        (synth_blobs' true_labels, for one), so the subset gets none."""
         idx = np.asarray(idx)
         return Dataset(
             features=self.features[idx].copy(),
             targets=self.targets[idx].copy(),
             feature_names=self.feature_names,
             row_ids=tuple(map(self.row_ids.__getitem__, idx.tolist())),
-            metadata=dict(self.metadata),
         )
 
 

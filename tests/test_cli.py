@@ -92,6 +92,13 @@ class TestCluster:
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["cluster", str(cfg)]) == EXIT_NUMERICAL
 
+    def test_all_noise_dbscan_names_the_clustering_stage(self, blob_csv, tmp_path, capsys):
+        doc = pipeline_config(blob_csv, tmp_path, algorithm="dbscan", dbscan={"eps": 1e-9, "min_pts": 5})
+        del doc["xmeans"]
+        assert main(["cluster", str(write_config(tmp_path, "c.json", doc))]) == EXIT_NUMERICAL
+        assert "pipeline stage 'clustering' failed: no clusters" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestPipeline:
     def test_full_run_report_shape(self, blob_csv, tmp_path):
@@ -214,6 +221,17 @@ class TestSweep:
             del doc[key]
         cfg = write_config(tmp_path, "s.json", doc)
         assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+
+    def test_training_failure_names_the_stage(self, blob_csv, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise mlp.NumericalError("non-finite loss")
+
+        monkeypatch.setattr(mlp, "train", fail)
+        doc = pipeline_config(blob_csv, tmp_path, widths=[2])
+        for key in ("algorithm", "xmeans"):
+            del doc[key]
+        assert main(["sweep", str(write_config(tmp_path, "s.json", doc))]) == EXIT_NUMERICAL
+        assert "pipeline stage 'training' failed: non-finite loss" in capsys.readouterr().err
 
 
 class TestStability:

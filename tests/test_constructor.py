@@ -11,6 +11,7 @@ from cluster_mlp.constructor import (
     prepare,
     run_pipeline,
     sweep_hidden,
+    timed_clustering,
 )
 from cluster_mlp.dataset import (
     CleaningPolicy,
@@ -23,6 +24,7 @@ from cluster_mlp.dataset import (
     fit_normalization,
     synth_blobs,
 )
+from cluster_mlp.metrics import metric_block
 from cluster_mlp.mlp import NetworkSpec, TrainConfig
 
 FAST_TRAIN = TrainConfig(max_iter=60)
@@ -30,7 +32,6 @@ FAST_TRAIN = TrainConfig(max_iter=60)
 
 def xmeans_cfg(kmin=2, kmax=20, seed=0, **kw):
     return PipelineConfig(
-        algorithm=Algorithm.XMEANS,
         xmeans=XMeansConfig(kmin=kmin, kmax=kmax, seed=seed),
         train_cfg=FAST_TRAIN,
         **kw,
@@ -38,17 +39,19 @@ def xmeans_cfg(kmin=2, kmax=20, seed=0, **kw):
 
 
 class TestPipelineConfig:
-    def test_requires_matching_algorithm_config(self):
-        with pytest.raises(ValueError, match="missing config"):
-            PipelineConfig(algorithm=Algorithm.DBSCAN, xmeans=None)
-
     def test_rejects_extra_algorithm_configs(self):
-        with pytest.raises(ValueError, match="extra"):
+        with pytest.raises(ValueError, match="more than one"):
             PipelineConfig(
-                algorithm=Algorithm.XMEANS,
                 xmeans=XMeansConfig(),
                 dbscan=DbscanConfig(eps=1.0, min_pts=2),
             )
+
+    def test_set_config_names_the_algorithm(self):
+        assert PipelineConfig().algorithm is Algorithm.XMEANS
+        assert PipelineConfig().xmeans == XMeansConfig()
+        cfg = PipelineConfig(dbscan=DbscanConfig(eps=1.0, min_pts=2))
+        assert cfg.algorithm is Algorithm.DBSCAN and cfg.xmeans is None
+        assert PipelineConfig(meanshift=MeanShiftConfig(bandwidth=1.0)).algorithm is Algorithm.MEANSHIFT
 
 
 class TestConstructArchitecture:
@@ -83,8 +86,6 @@ class TestConstructArchitecture:
         ds = synth_blobs(2, 3, 2, 50.0, 0.01, seed=0)
         norm = apply_normalization(ds, fit_normalization(ds))
         cfg = PipelineConfig(
-            algorithm=Algorithm.DBSCAN,
-            xmeans=None,
             dbscan=DbscanConfig(eps=1e-9, min_pts=3),
             train_cfg=FAST_TRAIN,
         )
@@ -149,13 +150,49 @@ class TestRunPipeline:
     def test_meanshift_pipeline(self):
         ds = synth_blobs(2, 40, 2, 30.0, 1.0, seed=5)
         cfg = PipelineConfig(
-            algorithm=Algorithm.MEANSHIFT,
-            xmeans=None,
             meanshift=MeanShiftConfig(bandwidth=1.0),
             train_cfg=FAST_TRAIN,
         )
         report = run_pipeline(ds, cfg)
         assert report.k == 2
+
+    def test_report_carries_the_trained_model(self):
+        ds = synth_blobs(3, 30, 2, 30.0, 1.0, seed=3)
+        cfg = xmeans_cfg()
+        report = run_pipeline(ds, cfg)
+        _, test_raw, _ = prepare(ds, cfg.split, cfg.cleaning)
+        pred = mlp.predict(report.model, test_raw)
+        assert metric_block(pred, test_raw.targets) == report.metrics_test
+        assert report.model.spec == report.spec
+        assert "model" not in repr(report)
+
+    def test_training_failure_names_the_stage(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise mlp.NumericalError("non-finite loss")
+
+        monkeypatch.setattr(mlp, "train", fail)
+        with pytest.raises(PipelineError, match="training") as info:
+            run_pipeline(synth_blobs(3, 30, 2, 30.0, 1.0, seed=3), xmeans_cfg())
+        assert info.value.stage == "training"
+
+
+class TestTimedClustering:
+    def test_returns_the_architecture_and_its_time(self):
+        ds = synth_blobs(4, 30, 3, 30.0, 1.0, seed=0)
+        norm = apply_normalization(ds, fit_normalization(ds))
+        spec, result, seconds = timed_clustering(norm, xmeans_cfg())
+        spec_direct, direct = construct_architecture(norm, xmeans_cfg())
+        assert spec == spec_direct and spec.hidden_width == 4
+        assert np.array_equal(result.labels, direct.labels)
+        assert seconds >= 0
+
+    def test_all_noise_dbscan_names_the_stage(self):
+        ds = synth_blobs(2, 3, 2, 50.0, 0.01, seed=0)
+        norm = apply_normalization(ds, fit_normalization(ds))
+        cfg = PipelineConfig(dbscan=DbscanConfig(eps=1e-9, min_pts=3))
+        with pytest.raises(PipelineError, match="no clusters") as info:
+            timed_clustering(norm, cfg)
+        assert info.value.stage == "clustering"
 
 
 def with_sentinels(ds, rows, feature_rows):
@@ -238,6 +275,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_hidden(ds, [], SplitSpec(0.7, 0), FAST_TRAIN)
 
+    def test_training_failure_names_the_stage(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise mlp.NumericalError("non-finite loss")
+
+        monkeypatch.setattr(mlp, "train", fail)
+        ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
+        with pytest.raises(PipelineError, match="training") as info:
+            sweep_hidden(ds, [2], SplitSpec(0.7, 0), FAST_TRAIN)
+        assert info.value.stage == "training"
+        assert isinstance(info.value.cause, mlp.NumericalError)
+
     def test_entries_report_their_training(self):
         ds = synth_blobs(3, 40, 2, 20.0, 1.0, seed=1)
         train_cfg = TrainConfig(max_iter=5, restarts=2)
@@ -264,8 +312,6 @@ class TestKminStability:
     def test_requires_xmeans(self):
         ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
         cfg = PipelineConfig(
-            algorithm=Algorithm.DBSCAN,
-            xmeans=None,
             dbscan=DbscanConfig(eps=1.0, min_pts=2),
             train_cfg=FAST_TRAIN,
         )

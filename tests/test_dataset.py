@@ -351,6 +351,15 @@ class TestSynthBlobs:
         )
         assert np.mean(assigned == true) >= 0.99
 
+    def test_take_drops_row_metadata(self):
+        # true_labels lists every row of the full set; a subset must not
+        # carry it misaligned with its own rows.
+        ds = synth_blobs(3, 4, 2, 10.0, 0.5, seed=0)
+        sub = ds.take([2, 0])
+        assert sub.row_ids == ("2", "0")
+        assert sub.metadata == {}
+        assert len(ds.metadata["true_labels"]) == ds.n
+
     def test_deterministic(self):
         a = synth_blobs(3, 20, 2, 10.0, 0.5, seed=9)
         b = synth_blobs(3, 20, 2, 10.0, 0.5, seed=9)
