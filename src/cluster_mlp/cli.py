@@ -161,14 +161,21 @@ ALGORITHM_CONFIGS = {
 
 
 def _parse_algorithm(doc: dict) -> tuple[Algorithm, object]:
-    """The named algorithm and its parsed config section."""
+    """The named algorithm and its parsed config section. Every algorithm
+    section present is parsed, so a malformed one is refused even when
+    another algorithm runs."""
     name = doc.get("algorithm")
     try:
         algo = Algorithm(name)
     except ValueError:
         choices = [a.value for a in Algorithm]
         raise ConfigError(f"config: algorithm must be one of {choices}, got {name!r}") from None
-    return algo, _parse_section(doc.get(algo.value, {}), ALGORITHM_CONFIGS[algo], algo.value)
+    parsed = {
+        a: _parse_section(doc.get(a.value, {}), ALGORITHM_CONFIGS[a], a.value)
+        for a in Algorithm
+        if a is algo or a.value in doc
+    }
+    return algo, parsed[algo]
 
 
 # Top-level keys besides the RunFiles ones: those of every command, then
@@ -459,7 +466,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, PipelineError) as e:
-        if isinstance(e, PipelineError) and isinstance(e.cause, (NumericalError, ClusteringError)):
+        # An undefined metric is numerical, as in `evaluate`.
+        if isinstance(e, PipelineError) and (
+            e.stage == "metrics" or isinstance(e.cause, (NumericalError, ClusteringError))
+        ):
             print(f"numerical error: {e}", file=sys.stderr)
             return EXIT_NUMERICAL
         print(f"data error: {e}", file=sys.stderr)

@@ -427,35 +427,95 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
     return ClusteringResult(labels, centroids, len(clusters), Algorithm.XMEANS, diagnostics)
 
 
-# Element budget of one block's (rows, window, d) difference array in
-# DBSCAN's sweeps (_eps_blocks): 2**20 float64 values, 8 MB, whatever n is.
-# The (rows, n) arrays of one MeanShift block hold a quarter of it together.
+# Element budget of the blocks of DBSCAN and MeanShift, 2**20 float64
+# values (8 MB), whatever n is. Each (rows, window) array of a DBSCAN block
+# (_eps_blocks) holds a sixteenth of it; the (rows, n) arrays of one
+# MeanShift block hold a quarter of it together.
 _BLOCK_ELEMENTS = 1 << 20
 
+# The distance tests of DBSCAN and MeanShift sum a squared length with long
+# vectorised loops, in whatever order is fast, and settle (_settle) every
+# row that lies clear of the bound by the relative margin
+# delta = 4 (d + 2) 2**-52; only the rest are recomputed with the exact
+# expression (an einsum, or np.linalg.norm). Why that is safe, with
+# u = 2**-53 and gamma = d u / (1 - d u):
+# - Both sums add the same d terms r_j * r_j, r_j the same rounded
+#   coordinate difference (x - y and y - x round to negatives). The terms
+#   are non-negative, so any evaluation, in any order, with or without FMA,
+#   rounds each term at most d times and lies within gamma S of their exact
+#   sum S (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+#   section 3.1). So the exact D and the fast F satisfy
+#   F / rho <= D <= F rho with rho = (1 + gamma) / (1 - gamma) <= 1 + 2.5 d u.
+# - The bound adds at most three roundings of u each: the square T of the
+#   test's threshold b, T times 1 -/+ delta (a multiple of 2**-52, so
+#   1 -/+ delta is exact), and the correctly rounded square root of D where
+#   the test takes one. F <= T (1 - delta) then gives
+#   fl(sqrt(D))**2 <= b**2 (1 + u)**4 (1 - delta) rho < b**2, and
+#   F >= T (1 + delta) gives fl(sqrt(D))**2 >= b**2 (1 - u)**4 (1 + delta) / rho
+#   > b**2: strict both ways, so <, <= and a test on sqrt(D) all agree with
+#   the fast verdict.
+# - Underflow adds at most 2**-1075 per rounded product (sums of subnormals
+#   are exact), d 2**-1074 in all, far inside the slack 5 d u T once
+#   T >= _SETTLE_MIN. A NaN F fails both comparisons and is recomputed. An
+#   inf F means D overflows too or exceeds 2**1023 > T, as T <= _SETTLE_MAX.
+#   A bound outside [_SETTLE_MIN, _SETTLE_MAX] sends every row to the exact
+#   test.
+_ULP = float(np.finfo(float).eps)  # 2**-52
+_SETTLE_MIN, _SETTLE_MAX = 2.0**-960, 2.0**960
 
-def _eps_blocks(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, d: int):
+
+def _settle(fast: np.ndarray, bound: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, unsure) for `fast`, squared lengths of d-vectors summed in
+    any order, against `bound`, the square of a test's threshold. Where
+    unsure is False, inside is the exact test's verdict, whether it is <, <=
+    or a comparison of the rounded norm; the caller recomputes the unsure
+    rows exactly."""
+    if not _SETTLE_MIN <= bound <= _SETTLE_MAX:
+        inside = np.zeros(fast.shape, dtype=bool)
+        return inside, ~inside
+    delta = 4 * (d + 2) * _ULP
+    inside = fast <= bound * (1.0 - delta)
+    return inside, ~(inside | (fast >= bound * (1.0 + delta)))
+
+
+def _eps_blocks(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
     """(block, start, stop): consecutive runs of `rows`, ascending positions
     in DBSCAN's sweep order, with the window [start, stop) their rows share.
     lo and hi never decrease, so that window holds every row's. Each run is
-    halved until its (rows, window, d) difference array fits the budget; a
-    single row always runs."""
+    halved until it has at most _BLOCK_ELEMENTS / 16 (row, window row)
+    pairs, so the block's two float arrays, 1 MB together at most, stay in
+    a core's L2 cache; a single row always runs."""
+    pairs = _BLOCK_ELEMENTS // 16
     a = 0
     while a < rows.size:
         first = rows[a]
-        b = min(rows.size, a + max(1, _BLOCK_ELEMENTS // (d * (hi[first] - lo[first]))))
-        while b - a > 1 and (b - a) * (hi[rows[b - 1]] - lo[first]) * d > _BLOCK_ELEMENTS:
+        b = min(rows.size, a + max(1, pairs // (hi[first] - lo[first])))
+        while b - a > 1 and (b - a) * (hi[rows[b - 1]] - lo[first]) > pairs:
             b = a + (b - a) // 2
         yield rows[a:b], lo[first], hi[rows[b - 1]]
         a = b
 
 
 def _within_eps(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
-    """(rows of x, rows of y) booleans: the pair lies within eps. Each
-    squared distance is the broadcast difference summed by einsum, the same
-    expression for every pair whatever the block, so the test sees the
-    values an all-pairs (n, n, d) array would hold."""
-    diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
+    """(rows of x, rows of y) booleans: the pair lies within eps, as the
+    einsum of its difference row decides it, the same expression for every
+    pair whatever the block: so the test sees the values an all-pairs
+    (n, n, d) array would hold. The squared distances are first summed one
+    coordinate at a time, each loop over the window, and settled
+    (_settle); einsum reruns only on the pairs near eps."""
+    d = x.shape[1]
+    fast = y[:, 0] - x[:, 0, None]
+    np.square(fast, out=fast)
+    for j in range(1, d):
+        term = y[:, j] - x[:, j, None]
+        fast += np.square(term, out=term)
+    bound = eps**2
+    inside, unsure = _settle(fast, bound, d)
+    if unsure.any():  # np.nonzero alone scans far slower
+        rows, cols = np.nonzero(unsure)
+        diff = x[rows] - y[cols]
+        inside[rows, cols] = np.einsum("ij,ij->i", diff, diff) <= bound
+    return inside
 
 
 def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
@@ -486,7 +546,7 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
 
     # Below, rows are positions in the sweep order; order[p] is the input row.
     counts = np.empty(n, dtype=np.intp)
-    for block, start, stop in _eps_blocks(lo, hi, np.arange(n), d):
+    for block, start, stop in _eps_blocks(lo, hi, np.arange(n)):
         counts[block] = _within_eps(swept[block], swept[start:stop], cfg.eps).sum(axis=1)
     core = counts >= cfg.min_pts
     cores = np.flatnonzero(core)
@@ -502,7 +562,7 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
         frontier = np.array([seed])
         while frontier.size:
             grown = []
-            for block, start, stop in _eps_blocks(lo, hi, frontier, d):
+            for block, start, stop in _eps_blocks(lo, hi, frontier):
                 window = start + np.flatnonzero(unlabelled[start:stop])
                 reached = window[_within_eps(swept[block], swept[window], cfg.eps).any(axis=0)]
                 unlabelled[reached] = False
@@ -583,12 +643,15 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
 
     The seeds move in blocks: one pass weighs a block of unconverged seeds
     against every point, then each seed takes its own step (a gemv of its
-    weight row) and its own stop test. A seed that stops leaves the block
-    and the next point takes its place. The block's (rows, n) arrays hold
-    at most _BLOCK_ELEMENTS / 4 values together, or one row's when a single
-    row needs more. Each step is the arithmetic of moving one seed at a
-    time (see _sq_dists), so the attractors are bit-identical to it; one
-    (rows, n) @ (n, d) matmul for the whole block would not be.
+    weight row). A seed that stops leaves the block and the next point
+    takes its place. The block's (rows, n) arrays hold at most
+    _BLOCK_ELEMENTS / 4 values together, or one row's when a single row
+    needs more. Each step is the arithmetic of moving one seed at a time
+    (see _sq_dists), so the attractors are bit-identical to it; one
+    (rows, n) @ (n, d) matmul for the whole block would not be. The stop
+    and merge tests are vectorised and settled (_settle), with
+    np.linalg.norm only for rows near the bound. `diagnostics` counts the
+    steps of all seeds and the seeds stopped by max_iter.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
@@ -602,6 +665,9 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
     x = points[seeds]
     steps = np.zeros(seeds.size, dtype=int)
     queued = seeds.size
+    diagnostics = {"seed_steps": 0, "max_iter_stops": 0}
+    # Squared by a product: a float ** 2 that overflows raises; this is inf.
+    tol_sq = cfg.shift_tol * cfg.shift_tol
     while seeds.size:
         w = _sq_dists(columns, x, 0, d)
         np.divide(w, scale, out=w)
@@ -610,10 +676,15 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
         for r in range(seeds.size):
             np.matmul(w[r], points, out=moved[r])
         moved /= w.sum(axis=1)[:, None]
-        shifts = np.array([np.linalg.norm(step) for step in moved - x])
+        shift = moved - x
+        converged, unsure = _settle(np.einsum("ij,ij->i", shift, shift), tol_sq, d)
+        for r in np.flatnonzero(unsure):
+            converged[r] = np.linalg.norm(shift[r]) < cfg.shift_tol
         x = moved
         steps += 1
-        stopped = (shifts < cfg.shift_tol) | (steps == cfg.max_iter)
+        stopped = converged | (steps == cfg.max_iter)
+        diagnostics["seed_steps"] += int(steps[stopped].sum())
+        diagnostics["max_iter_stops"] += int(np.count_nonzero(stopped & ~converged))
         attractors[seeds[stopped]] = x[stopped]
         fresh = np.arange(queued, min(n, queued + np.count_nonzero(stopped)))
         queued += fresh.size
@@ -622,16 +693,25 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
         x = np.concatenate([x[moving], points[fresh]])
         steps = np.concatenate([steps[moving], np.zeros(fresh.size, dtype=int)])
 
+    # Mode-major merge with the labels of a point-major first-match loop, in
+    # which each point joins the first existing mode within merge_radius or
+    # becomes a new mode. Here each new mode is the first attractor that no
+    # mode claimed yet, and it claims every unclaimed attractor within
+    # merge_radius. No unclaimed attractor precedes it, so the rows it claims
+    # come after it, where the point loop has it already; and each lay beyond
+    # merge_radius of every earlier mode, so it is their first match.
     modes: list[np.ndarray] = []
     labels = np.empty(n, dtype=int)
-    for i in range(n):
-        assigned = -1
-        for j, m in enumerate(modes):
-            if np.linalg.norm(attractors[i] - m) <= cfg.merge_radius:
-                assigned = j
-                break
-        if assigned == -1:
-            modes.append(attractors[i])
-            assigned = len(modes) - 1
-        labels[i] = assigned
-    return ClusteringResult(labels, np.array(modes), len(modes), Algorithm.MEANSHIFT)
+    radius_sq = cfg.merge_radius * cfg.merge_radius
+    free = np.arange(n)
+    while free.size:
+        mode = attractors[free[0]]
+        rest = free[1:]
+        diff = attractors[rest] - mode
+        near, unsure = _settle(np.einsum("ij,ij->i", diff, diff), radius_sq, d)
+        for r in np.flatnonzero(unsure):
+            near[r] = np.linalg.norm(diff[r]) <= cfg.merge_radius
+        labels[free[0]] = labels[rest[near]] = len(modes)
+        modes.append(mode)
+        free = rest[~near]
+    return ClusteringResult(labels, np.array(modes), len(modes), Algorithm.MEANSHIFT, diagnostics)

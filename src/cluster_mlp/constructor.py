@@ -176,21 +176,24 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
     training_seconds = time.perf_counter() - start
 
     # reported-only validation cut carved from the training portion
-    val_block: MetricBlock | None = None
+    val_part = None
     if train_raw.n >= 5 and 0.0 < cfg.validation_fraction < 1.0:
-        fit_part, val_part = holdout_split(
+        _, val_part = holdout_split(
             train_raw,
             SplitSpec(train_fraction=1.0 - cfg.validation_fraction, seed=cfg.validation_seed),
         )
-        val_block = metrics.metric_block(mlp.predict(model, val_part), val_part.targets)
+    with _stage("metrics"):
+        val_block = None if val_part is None else _metric_block(model, val_part)
+        train_block = _metric_block(model, train_raw)
+        test_block = _metric_block(model, test_raw)
 
     return PipelineReport(
         k=spec.hidden_width,
         spec=spec,
         clustering_seconds=clustering_seconds,
         training_seconds=training_seconds,
-        metrics_train=metrics.metric_block(mlp.predict(model, train_raw), train_raw.targets),
-        metrics_test=metrics.metric_block(mlp.predict(model, test_raw), test_raw.targets),
+        metrics_train=train_block,
+        metrics_test=test_block,
         metrics_validation=val_block,
         train_rows=train_raw.n,
         test_rows=test_raw.n,
@@ -198,6 +201,10 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         clustering_diagnostics=clustered.diagnostics,
         model=model,
     )
+
+
+def _metric_block(model: mlp.MlpModel, part: Dataset) -> MetricBlock:
+    return metrics.metric_block(mlp.predict(model, part), part.targets)
 
 
 def sweep_hidden(
@@ -220,12 +227,15 @@ def sweep_hidden(
         with _stage("training"):
             model, trained = mlp.train(spec, train_raw, train_cfg, norm=norm)
         training_seconds = time.perf_counter() - start
-        pred = mlp.predict(model, test_raw)
+        with _stage("metrics"):
+            pred = mlp.predict(model, test_raw)
+            rms_test = metrics.rms(pred, test_raw.targets)
+            correlation = metrics.correlation(pred, test_raw.targets)
         entries.append(
             SweepEntry(
                 hidden_width=w,
-                rms_test=metrics.rms(pred, test_raw.targets),
-                correlation=metrics.correlation(pred, test_raw.targets),
+                rms_test=rms_test,
+                correlation=correlation,
                 training_seconds=training_seconds,
                 iterations=trained.iterations,
                 converged=trained.converged,

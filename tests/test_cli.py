@@ -62,6 +62,16 @@ class TestCluster:
         rep = read_report(tmp_path)
         assert rep["header"]["diagnostics"] == {"noise_points": rep["body"]["noise_points"]}
 
+    def test_header_counts_meanshift_budget_stops(self, blob_csv, tmp_path):
+        meanshift = {"bandwidth": 0.5, "shift_tol": 1e-12, "max_iter": 3}
+        doc = pipeline_config(blob_csv, tmp_path, algorithm="meanshift", meanshift=meanshift)
+        del doc["xmeans"]
+        assert main(["cluster", str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
+        rep = read_report(tmp_path)
+        rows = len(rep["body"]["labels"])
+        assert rep["header"]["diagnostics"] == {"seed_steps": 3 * rows, "max_iter_stops": rows}
+        assert not {"seed_steps", "max_iter_stops"} & set(rep["body"])
+
     def test_malformed_config_names_key(self, blob_csv, tmp_path, capsys):
         doc = pipeline_config(blob_csv, tmp_path)
         doc["bogus_key"] = 1
@@ -293,6 +303,36 @@ class TestCleaningStage:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestMetricsStage:
+    @pytest.fixture
+    def target_csv(self, blob_csv):
+        def write(value):
+            lines = blob_csv.read_text().splitlines()
+            rows = [line.rsplit(",", 1)[0] + f",{value}" for line in lines[1:]]
+            blob_csv.write_text("\n".join([lines[0], *rows]) + "\n")
+            return blob_csv
+
+        return write
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [("-1.0", "actual contains -1"), ("2.5", "undefined correlation: constant input vector")],
+    )
+    def test_undefined_metric_names_the_stage(self, target_csv, tmp_path, capsys, target, message):
+        doc = pipeline_config(target_csv(target), tmp_path, train={"max_iter": 5})
+        assert main(["pipeline", str(write_config(tmp_path, "p.json", doc))]) == EXIT_NUMERICAL
+        assert f"pipeline stage 'metrics' failed: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_sweep_constant_test_target_names_the_stage(self, target_csv, tmp_path, capsys):
+        doc = pipeline_config(target_csv("2.5"), tmp_path, widths=[2], train={"max_iter": 5})
+        del doc["algorithm"], doc["xmeans"]
+        assert main(["sweep", str(write_config(tmp_path, "s.json", doc))]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "pipeline stage 'metrics' failed: undefined correlation: constant input vector" in err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestSynth:
     def synth_doc(self, tmp_path, **extra):
         doc = {
@@ -512,6 +552,23 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["pipeline", str(cfg)]) == EXIT_CONFIG
         assert f"{section or 'config'}: missing required key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"xmeans": {"kmin": "two", "bogus": 1}, "meanshift": 7}, "xmeans: unknown keys ['bogus']"),
+            ({"xmeans": {"kmin": "two"}}, "xmeans: kmin must be"),
+            ({"meanshift": 7}, "config: section 'meanshift' must be an object"),
+            ({"meanshift": {"bandwidth": 0.5, "radius": 1.0}}, "meanshift: unknown keys ['radius']"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["cluster", "pipeline"])
+    def test_sections_of_other_algorithms_checked(self, blob_csv, tmp_path, capsys, command, sections, message):
+        doc = pipeline_config(blob_csv, tmp_path, algorithm="dbscan", dbscan={"eps": 3.0, "min_pts": 5})
+        doc.update(sections)
+        assert main([command, str(write_config(tmp_path, "c.json", doc))]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_no_side_effects_on_invalid_config(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path)

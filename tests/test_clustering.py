@@ -235,10 +235,23 @@ def meanshift_cases(dims=(*range(1, 17), 24, 40, 130)):
     40, and 130 (past numpy's 128-value pairwise block); n of 1, 2 and odd
     sizes; two bandwidths; a merge radius of 1e-300 that keeps every
     distinct attractor as its own mode; and max_iter budgets of 40 and 3
-    that stop some rows before they converge."""
+    that stop some rows before they converge. Per d, three groups of
+    coincident points also sit exactly merge_radius apart on a line, so
+    that merge decisions fall on the radius itself."""
     rng = np.random.default_rng(2026)
     cases = []
     for d in dims:
+        # With bandwidth 0.1 a group's weights on the other groups underflow
+        # to 0, so each attractor is its group's point; neighbouring groups
+        # are 5 (or 7 at d = 1) apart exactly, and the middle group does not
+        # come first, so the first mode claims one group and not the other.
+        step = np.zeros(d)
+        step[0] = 3.0
+        step[min(1, d - 1)] += 4.0
+        radius = float(np.linalg.norm(step))
+        pts = np.array([2, 0, 1, 1, 0, 2, 0, 2, 1])[:, None] * step
+        for merge_radius in (radius, float(np.nextafter(radius, 0.0))):
+            cases.append((pts, MeanShiftConfig(bandwidth=0.1, merge_radius=merge_radius)))
         spread = np.sqrt(d)
         for n in (1, 2, 9, 333 if d in (3, 9) else 61):
             pts = rng.normal(size=(n, d)) + 2.0 * spread * rng.integers(0, 3, size=(n, 1))
@@ -248,6 +261,30 @@ def meanshift_cases(dims=(*range(1, 17), 24, 40, 130)):
             cases.append((pts, MeanShiftConfig(bandwidth=float(0.8 * spread), shift_tol=1e-12,
                                                max_iter=3, merge_radius=1e-300)))
     return cases
+
+
+def seed_within_eps(x, y, eps):
+    """Bit-level oracle: DBSCAN's pair test as first blocked, the broadcast
+    difference summed by einsum."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
+
+
+def fast_sums(v):
+    """Squared row lengths of v in several summation orders, any of which a
+    settled test may use."""
+    sq = v * v
+    forward = np.zeros(len(v))
+    for j in range(v.shape[1]):
+        forward += sq[:, j]
+    backward = np.zeros(len(v))
+    for j in reversed(range(v.shape[1])):
+        backward += sq[:, j]
+    return [np.einsum("ij,ij->i", v, v), sq.sum(axis=1), forward, backward]
+
+
+# Rows whose squares underflow, overflow or are not numbers.
+SPECIAL_VALUES = (0.0, 5e-324, -3e-320, 1e-160, 1e-150, 1e200, np.inf, -np.inf, np.nan)
 
 
 def lloyd_cases():
@@ -817,6 +854,29 @@ class TestMeanshift:
             # normalized mean-shift step = grad / density; compare like units
             assert np.linalg.norm(grad) / kde(mode) < cfg.shift_tol * 10
 
+    def test_budget_stops_counted(self):
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(40, 2))
+        r = meanshift(pts, MeanShiftConfig(bandwidth=1.0, shift_tol=1e-12, max_iter=3))
+        assert r.diagnostics == {"seed_steps": 3 * 40, "max_iter_stops": 40}
+
+    def test_converged_steps_counted(self):
+        pts = np.array([[0.0], [0.5], [10.0], [10.5]])
+        cfg = MeanShiftConfig(bandwidth=1.0)
+        r = meanshift(pts, cfg)
+        steps = 0
+        for i in range(len(pts)):  # each seed's own steps, as seed_meanshift takes them
+            x = pts[i].copy()
+            for _ in range(cfg.max_iter):
+                w = np.exp(-np.sum((pts - x) ** 2, axis=1) / (2.0 * cfg.bandwidth**2))
+                new_x = w @ pts / w.sum()
+                steps += 1
+                shift, x = float(np.linalg.norm(new_x - x)), new_x
+                if shift < cfg.shift_tol:
+                    break
+        assert r.k == 2
+        assert r.diagnostics == {"seed_steps": steps, "max_iter_stops": 0}
+
     def test_merge_radius_default(self):
         cfg = MeanShiftConfig(bandwidth=2.0)
         assert cfg.merge_radius == 1.0
@@ -846,6 +906,16 @@ class TestMeanshift:
         assert np.array_equal(r.labels, labels)
         assert np.array_equal(r.representatives, modes)
 
+    def test_huge_bounds_match_seed_meanshift(self):
+        # squared, these bounds overflow: every test falls to the exact norm
+        pts = np.random.default_rng(6).normal(size=(30, 2))
+        for cfg in (MeanShiftConfig(bandwidth=1.0, merge_radius=1e200),
+                    MeanShiftConfig(bandwidth=1.0, shift_tol=1e200)):
+            r = meanshift(pts, cfg)
+            labels, modes = seed_meanshift(pts, cfg)
+            assert np.array_equal(r.labels, labels)
+            assert np.array_equal(r.representatives, modes)
+
     def test_block_arrays_bounded(self, monkeypatch):
         # A fixed block of 256 rows would hold 5 * 256 * 400 * 8 B = 4 MB.
         budget = 1 << 16
@@ -861,6 +931,87 @@ class TestMeanshift:
         assert r.k == 3
         # the block's share of the budget, plus a few copies of the points
         assert peak < 8 * budget // 4 + 8 * pts.nbytes, f"peak {peak} B"
+
+
+class TestSettle:
+    """clustering._settle decides a distance test from a squared length
+    summed in any order; where it is unsure, the caller asks the exact
+    expression. Where it is sure it must agree with that expression."""
+
+    @staticmethod
+    def assert_agrees(v, bound_norm):
+        exact = np.array([np.linalg.norm(row) for row in v])
+        for fast in fast_sums(v):
+            inside, unsure = clustering._settle(fast, bound_norm * bound_norm, v.shape[1])
+            sure = ~unsure
+            assert np.array_equal(inside[sure], exact[sure] < bound_norm)
+            assert np.array_equal(inside[sure], exact[sure] <= bound_norm)
+        return unsure
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 13, 130])
+    def test_norm_tests_at_the_bound(self, d):
+        rng = np.random.default_rng(d)
+        v = rng.normal(size=(300, d)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))
+        for i in range(5):
+            bound = np.linalg.norm(v[i])
+            # v[i] lies on the bound, where < and <= split; its neighbours
+            # lie a few ulps to either side.
+            near = v[i] * (1.0 + np.arange(-6, 7)[:, None] * 2.0**-52)
+            unsure = self.assert_agrees(np.vstack([v[i], near, v]), bound)
+            assert unsure[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 13, 130])
+    def test_special_rows(self, d):
+        rng = np.random.default_rng(d)
+        rows = [np.zeros(d)]
+        for value in SPECIAL_VALUES:
+            row = rng.normal(size=d)
+            row[rng.integers(d)] = value
+            rows += [np.full(d, value), row]
+        with np.errstate(all="ignore"):
+            for bound in (5e-324, 1e-300, 1e-160, 1e-150, 1e-5, 1.0, 1e150, 1e200, 1e300, np.inf):
+                self.assert_agrees(np.array(rows), bound)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 13, 130])
+    def test_within_eps_at_a_pair_distance(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(20, d))
+        y = np.vstack([rng.normal(size=(30, d)), x[:4] + rng.normal(scale=1e-3, size=(4, d))])
+        diff = x[:, None, :] - y[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        for pair in [(0, 30), (3, 33), (5, 7), (11, 29)]:
+            # eps squared lands on the pair's own einsum value or rounds
+            # to one of its neighbours
+            eps = np.sqrt(d2[pair])
+            for _ in range(3):
+                eps = np.nextafter(eps, 0.0)
+            for _ in range(7):
+                got = clustering._within_eps(x, y, float(eps))
+                assert np.array_equal(got, seed_within_eps(x, y, float(eps)))
+                eps = np.nextafter(eps, np.inf)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_within_eps_on_a_grid(self, d):
+        # on a grid of step 1/8 every squared distance is exact, so many
+        # pairs lie exactly at eps
+        rng = np.random.default_rng(d)
+        x = rng.integers(-16, 17, size=(40, d)) / 8.0
+        y = rng.integers(-16, 17, size=(50, d)) / 8.0
+        for eps in (0.125, 0.5, 0.625, 1.25, float(np.sqrt(0.125**2 * 2))):
+            assert np.array_equal(clustering._within_eps(x, y, eps), seed_within_eps(x, y, eps))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 130])
+    def test_within_eps_special_rows(self, d):
+        rng = np.random.default_rng(d)
+        rows = [np.zeros(d), rng.normal(size=d)]
+        for value in SPECIAL_VALUES:
+            row = rng.normal(size=d)
+            row[0] = value
+            rows += [np.full(d, value), row]
+        pts = np.array(rows)
+        with np.errstate(all="ignore"):
+            for eps in (5e-324, 1e-170, 1e-160, 1e-155, 1e-3, 1.0, 1e140, 1e150, 1.3e154):
+                assert np.array_equal(clustering._within_eps(pts, pts, eps), seed_within_eps(pts, pts, eps))
 
 
 class TestResultInvariants:
