@@ -94,6 +94,12 @@ class MeanShiftConfig:
             object.__setattr__(self, "merge_radius", self.bandwidth / 2.0)
         if min(self.bandwidth, self.shift_tol, self.max_iter, self.merge_radius) <= 0:
             raise ValueError("all mean-shift parameters must be positive")
+        # The kernel divides by 2 h^2, squared first as meanshift squares it.
+        # Underflowed to 0 it makes every weight NaN; overflowed, it raises.
+        if not 0.0 < 2.0 * (self.bandwidth * self.bandwidth) < math.inf:
+            raise ValueError(
+                f"bandwidth must be a number whose 2 * bandwidth**2 is positive and finite, got {self.bandwidth!r}"
+            )
 
 
 def _weighted_init(
@@ -430,7 +436,8 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
 # Element budget of the blocks of DBSCAN and MeanShift, 2**20 float64
 # values (8 MB), whatever n is. Each (rows, window) array of a DBSCAN block
 # (_eps_blocks) holds a sixteenth of it; the (rows, n) arrays of one
-# MeanShift block hold a quarter of it together.
+# MeanShift block hold a quarter of it together. Both allocate their block
+# arrays once per call and reuse their leading parts for every block.
 _BLOCK_ELEMENTS = 1 << 20
 
 # The distance tests of DBSCAN and MeanShift sum a squared length with long
@@ -496,20 +503,27 @@ def _eps_blocks(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
         a = b
 
 
-def _within_eps(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+def _within_eps(x: np.ndarray, y: np.ndarray, eps: float, workspace: np.ndarray | None = None) -> np.ndarray:
     """(rows of x, rows of y) booleans: the pair lies within eps, as the
     einsum of its difference row decides it, the same expression for every
     pair whatever the block: so the test sees the values an all-pairs
     (n, n, d) array would hold. The squared distances are first summed one
     coordinate at a time, each loop over the window, and settled
-    (_settle); einsum reruns only on the pairs near eps."""
+    (_settle); einsum reruns only on the pairs near eps. The sums go to the
+    prefixes of `workspace`'s two flat rows, or to new arrays when it is
+    missing or too small."""
     d = x.shape[1]
-    fast = y[:, 0] - x[:, 0, None]
+    size = x.shape[0] * y.shape[0]
+    if workspace is None or size > workspace.shape[1]:
+        workspace = np.empty((2, size))
+    fast, term = (buf[:size].reshape(x.shape[0], y.shape[0]) for buf in workspace)
+    np.subtract(y[:, 0], x[:, 0, None], out=fast)
     np.square(fast, out=fast)
     for j in range(1, d):
-        term = y[:, j] - x[:, j, None]
+        np.subtract(y[:, j], x[:, j, None], out=term)
         fast += np.square(term, out=term)
-    bound = eps**2
+    # Squared by a product: a float ** 2 that overflows raises; this is inf.
+    bound = eps * eps
     inside, unsure = _settle(fast, bound, d)
     if unsure.any():  # np.nonzero alone scans far slower
         rows, cols = np.nonzero(unsure)
@@ -545,9 +559,11 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
     hi = np.searchsorted(first, first + 2.0 * cfg.eps, side="right")
 
     # Below, rows are positions in the sweep order; order[p] is the input row.
+    # Every block but a single wide row fits the workspace (_eps_blocks).
+    workspace = np.empty((2, min(_BLOCK_ELEMENTS // 16, n * n)))
     counts = np.empty(n, dtype=np.intp)
     for block, start, stop in _eps_blocks(lo, hi, np.arange(n)):
-        counts[block] = _within_eps(swept[block], swept[start:stop], cfg.eps).sum(axis=1)
+        counts[block] = _within_eps(swept[block], swept[start:stop], cfg.eps, workspace).sum(axis=1)
     core = counts >= cfg.min_pts
     cores = np.flatnonzero(core)
 
@@ -564,7 +580,7 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
             grown = []
             for block, start, stop in _eps_blocks(lo, hi, frontier):
                 window = start + np.flatnonzero(unlabelled[start:stop])
-                reached = window[_within_eps(swept[block], swept[window], cfg.eps).any(axis=0)]
+                reached = window[_within_eps(swept[block], swept[window], cfg.eps, workspace).any(axis=0)]
                 unlabelled[reached] = False
                 labels[order[reached]] = k
                 grown.append(reached[core[reached]])
@@ -578,9 +594,11 @@ def dbscan(points: np.ndarray, cfg: DbscanConfig) -> ClusteringResult:
     return ClusteringResult(labels, reps, k, Algorithm.DBSCAN, {"noise_points": int(np.sum(labels == -1))})
 
 
-def _sq_dists(columns: np.ndarray, x: np.ndarray, lo: int, m: int) -> np.ndarray:
+def _sq_dists(columns: np.ndarray, x: np.ndarray, lo: int, m: int, bufs: list[np.ndarray]) -> np.ndarray:
     """(rows of x, n) squared distances over the coordinates [lo, lo + m),
-    from the contiguous transpose `columns` of the (n, d) points.
+    from the contiguous transpose `columns` of the (n, d) points, written
+    into bufs[0]; bufs holds _sq_dists_live(m) (rows, n) arrays, and the
+    others are scratch.
 
     The per-coordinate terms are added in the order numpy's pairwise sum
     adds the m values of one contiguous row, which is what
@@ -591,49 +609,51 @@ def _sq_dists(columns: np.ndarray, x: np.ndarray, lo: int, m: int) -> np.ndarray
     bit-identical to the one-row expression, whatever d is.
     """
 
-    def term(j):
-        t = columns[j] - x[:, j : j + 1]
-        return np.square(t, out=t)
+    def term(j, out):
+        np.subtract(columns[j], x[:, j : j + 1], out=out)
+        return np.square(out, out=out)
 
     if m < 8:
+        acc = bufs[0]
         if m == 0:
-            return np.zeros((x.shape[0], columns.shape[1]))
-        acc = term(lo)
+            acc.fill(0.0)
+            return acc
+        term(lo, acc)
         for j in range(lo + 1, lo + m):
-            acc += term(j)
+            acc += term(j, bufs[1])
         return acc
     if m <= 128:
         tail = lo + m - m % 8
 
-        def pair(j):  # r_j + r_{j+1}, each the strided sum from lo + j
-            acc = term(lo + j)
+        def pair(j, acc, other, t):  # r_j + r_{j+1}, each the strided sum from lo + j
+            term(lo + j, acc)
             for i in range(lo + j + 8, tail, 8):
-                acc += term(i)
-            other = term(lo + j + 1)
+                acc += term(i, t)
+            term(lo + j + 1, other)
             for i in range(lo + j + 9, tail, 8):
-                other += term(i)
+                other += term(i, t)
             acc += other
             return acc
 
         # Each pair is joined before the next is built, so at most two
         # joined pairs, two accumulators and one term are live at once.
-        acc = pair(0)
-        acc += pair(2)
-        right = pair(4)
-        right += pair(6)
+        acc = pair(0, *bufs[0:3])
+        acc += pair(2, *bufs[1:4])
+        right = pair(4, *bufs[1:4])
+        right += pair(6, *bufs[2:5])
         acc += right
         for j in range(tail, lo + m):
-            acc += term(j)
+            acc += term(j, bufs[1])
         return acc
     half = m // 2 - (m // 2) % 8
-    acc = _sq_dists(columns, x, lo, half)
-    acc += _sq_dists(columns, x, lo + half, m - half)
+    acc = _sq_dists(columns, x, lo, half, bufs)
+    acc += _sq_dists(columns, x, lo + half, m - half, bufs[1:])
     return acc
 
 
 def _sq_dists_live(m: int) -> int:
-    """The most (rows, n) arrays _sq_dists holds at once for m coordinates:
-    five up to 128, plus one finished half for each split above that."""
+    """The (rows, n) arrays _sq_dists needs for m coordinates: five up to
+    128, plus one finished half for each split above that."""
     return 5 if m <= 128 else 1 + _sq_dists_live(m - (m // 2 - (m // 2) % 8))
 
 
@@ -642,22 +662,29 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
     then merge attractors within merge_radius into shared basins.
 
     The seeds move in blocks: one pass weighs a block of unconverged seeds
-    against every point, then each seed takes its own step (a gemv of its
-    weight row). A seed that stops leaves the block and the next point
-    takes its place. The block's (rows, n) arrays hold at most
-    _BLOCK_ELEMENTS / 4 values together, or one row's when a single row
-    needs more. Each step is the arithmetic of moving one seed at a time
-    (see _sq_dists), so the attractors are bit-identical to it; one
-    (rows, n) @ (n, d) matmul for the whole block would not be. The stop
-    and merge tests are vectorised and settled (_settle), with
-    np.linalg.norm only for rows near the bound. `diagnostics` counts the
-    steps of all seeds and the seeds stopped by max_iter.
+    against every point, then each seed takes its own step, a gemv of its
+    weight row. A seed that stops leaves the block and the next point
+    takes its place. The block's (rows, n) arrays are allocated once per
+    call and hold at most _BLOCK_ELEMENTS / 4 values together, or one
+    row's when a single row needs more; each step uses their leading rows.
+    Each step is the arithmetic of moving one seed at a time (see
+    _sq_dists), so the attractors are bit-identical to it. The stacked
+    matmul (rows, 1, n) @ (n, d) runs that gemv once per row; one 2-D
+    (rows, n) @ (n, d) matmul for the whole block is a gemm and would not
+    be bit-identical. The stop and merge tests are vectorised and settled
+    (_settle), with np.linalg.norm only for rows near the bound.
+    `diagnostics` counts the steps of all seeds and the seeds stopped by
+    max_iter.
     """
-    points = np.asarray(points, dtype=float)
+    # C order: the gemv's layout, and so its rounding, does not depend on
+    # how the caller laid the points out.
+    points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
     columns = np.ascontiguousarray(points.T)
+    live = _sq_dists_live(d)
     # A quarter of the budget is no slower than all of it at n=1500, d=3.
-    block = max(1, _BLOCK_ELEMENTS // (4 * max(n, 1) * _sq_dists_live(d)))
+    block = max(1, _BLOCK_ELEMENTS // (4 * max(n, 1) * live))
+    workspace = np.empty((live, min(block, n) * n))
     # -s / (2 h^2) == s / -(2 h^2) exactly: rounding to nearest is symmetric.
     scale = -(2.0 * cfg.bandwidth**2)
     attractors = np.empty_like(points)
@@ -669,12 +696,11 @@ def meanshift(points: np.ndarray, cfg: MeanShiftConfig) -> ClusteringResult:
     # Squared by a product: a float ** 2 that overflows raises; this is inf.
     tol_sq = cfg.shift_tol * cfg.shift_tol
     while seeds.size:
-        w = _sq_dists(columns, x, 0, d)
+        w = _sq_dists(columns, x, 0, d, [buf[: seeds.size * n].reshape(seeds.size, n) for buf in workspace])
         np.divide(w, scale, out=w)
         np.exp(w, out=w)
         moved = np.empty_like(x)
-        for r in range(seeds.size):
-            np.matmul(w[r], points, out=moved[r])
+        np.matmul(w[:, None, :], points, out=moved[:, None, :])
         moved /= w.sum(axis=1)[:, None]
         shift = moved - x
         converged, unsure = _settle(np.einsum("ij,ij->i", shift, shift), tol_sq, d)

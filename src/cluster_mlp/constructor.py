@@ -148,7 +148,9 @@ def prepare(
         cleaned = clean_sentinels(filter_labeled(ds, cleaning), cleaning)
     with _stage("split"):
         train_raw, test_raw = holdout_split(cleaned, split)
-    return train_raw, test_raw, fit_normalization(train_raw)
+    with _stage("normalization"):
+        norm = fit_normalization(train_raw)
+    return train_raw, test_raw, norm
 
 
 def timed_clustering(

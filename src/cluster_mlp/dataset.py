@@ -309,17 +309,24 @@ def holdout_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 def fit_normalization(train: Dataset) -> NormalizationParams:
-    """Per-column mean / population std; zero-variance columns get scale 1."""
-    center = train.features.mean(axis=0)
-    scale = train.features.std(axis=0)
+    """Per-column mean / population std; zero-variance columns get scale 1.
+    A column whose mean or std overflows is a DataError naming it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = train.features.mean(axis=0)
+        scale = train.features.std(axis=0)
+        t_center = float(train.targets.mean())
+        t_scale = float(train.targets.std())
+    labels = [*(f"column {name!r}" for name in train.feature_names), "the target"]
+    for what, c, s in zip(labels, [*center, t_center], [*scale, t_scale]):
+        if not (math.isfinite(c) and math.isfinite(s)):
+            raise DataError(f"normalization of {what} is not finite: center {float(c)}, scale {float(s)}")
     scale = np.where(scale == 0.0, 1.0, scale)
-    t_scale = float(train.targets.std())
     if t_scale == 0.0:
         t_scale = 1.0
     return NormalizationParams(
         center=center,
         scale=scale,
-        target_center=float(train.targets.mean()),
+        target_center=t_center,
         target_scale=t_scale,
     )
 

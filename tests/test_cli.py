@@ -283,6 +283,25 @@ class TestStability:
         assert main(["stability", str(cfg)]) == EXIT_CONFIG
 
 
+class TestNumericRange:
+    def test_dbscan_eps_wider_than_the_data(self, blob_csv, tmp_path):
+        # eps squared overflows; every row is then one cluster's core
+        doc = pipeline_config(blob_csv, tmp_path, algorithm="dbscan", dbscan={"eps": 1e200, "min_pts": 3})
+        del doc["xmeans"]
+        assert main(["pipeline", str(write_config(tmp_path, "p.json", doc))]) == EXIT_OK
+        assert read_report(tmp_path)["body"]["k"] == 1
+
+    def test_normalization_overflow_names_the_column(self, blob_csv, tmp_path, capsys):
+        lines = blob_csv.read_text().splitlines()
+        rows = [",".join([("1e308", "-1e308")[i % 2], *line.split(",")[1:]]) for i, line in enumerate(lines[1:])]
+        blob_csv.write_text("\n".join([lines[0], *rows]) + "\n")
+        cfg = write_config(tmp_path, "p.json", pipeline_config(blob_csv, tmp_path))
+        assert main(["pipeline", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "pipeline stage 'normalization' failed: normalization of column 'f0' is not finite" in err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestCleaningStage:
     @pytest.fixture
     def unlabeled_csv(self, blob_csv):
@@ -597,6 +616,8 @@ BOUNDARY_CASES = [
     ("pipeline", "dbscan", "eps", float("nan")),
     ("pipeline", "meanshift", "bandwidth", float("nan")),
     ("pipeline", "meanshift", "merge_radius", float("inf")),
+    ("pipeline", "meanshift", "bandwidth", 1e-200),  # 2 h^2 underflows to 0
+    ("pipeline", "meanshift", "bandwidth", 1e200),  # 2 h^2 overflows
     ("pipeline", "train", "grad_tol", float("nan")),
     ("pipeline", "cleaning", "feature_sentinels", [99, float("nan")]),
     ("pipeline", "cleaning", "target_missing_sentinel", -float("inf")),

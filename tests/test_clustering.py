@@ -270,6 +270,18 @@ def seed_within_eps(x, y, eps):
     return np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
 
 
+def non_contiguous(pts, layout):
+    """The same values as pts in another memory layout: Fortran order, or
+    every other column of a twice as wide array."""
+    if layout == "fortran":
+        return np.asfortranarray(pts)
+    if layout == "strided":
+        wide = np.zeros((pts.shape[0], 2 * pts.shape[1]))
+        wide[:, ::2] = pts
+        return wide[:, ::2]
+    return pts
+
+
 def fast_sums(v):
     """Squared row lengths of v in several summation orders, any of which a
     settled test may use."""
@@ -778,6 +790,25 @@ class TestDbscan:
             assert np.array_equal(r.labels, labels), f"case {case}"
             assert np.array_equal(r.representatives, reps), f"case {case}"
 
+    @pytest.mark.parametrize("eps", [1e200, 1e308])
+    def test_huge_eps_matches_brute_force(self, eps):
+        # eps squared overflows: every pair goes to the exact test, and an
+        # eps wider than the data puts every row in one cluster
+        pts = np.random.default_rng(7).normal(size=(30, 2))
+        r = dbscan(pts, DbscanConfig(eps=eps, min_pts=3))
+        oracle_labels, oracle_k = brute_force_dbscan(pts, eps, 3)
+        assert r.k == oracle_k == 1
+        assert np.array_equal(r.labels, oracle_labels)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_points_bit_identical(self, layout):
+        for case, (pts, eps, min_pts) in enumerate(dbscan_cases()[::4]):
+            r = dbscan(non_contiguous(pts, layout), DbscanConfig(eps=eps, min_pts=min_pts))
+            labels, reps, k = seed_dbscan(pts, eps, min_pts)
+            assert r.k == k, f"case {case}"
+            assert np.array_equal(r.labels, labels), f"case {case}"
+            assert np.array_equal(r.representatives, reps), f"case {case}"
+
     def test_peak_memory_bounded(self):
         # an (n, n, d) float64 difference array alone would be 216 MB here
         ds = synth_blobs(5, 600, 3, 30.0, 1.0, seed=1)
@@ -881,6 +912,21 @@ class TestMeanshift:
         cfg = MeanShiftConfig(bandwidth=2.0)
         assert cfg.merge_radius == 1.0
 
+    @pytest.mark.parametrize("bandwidth", [1e-200, 1.5e-162, 1e155, 1e200])
+    def test_bandwidth_out_of_range_refused(self, bandwidth):
+        # 2 h^2 underflows to 0 (every weight NaN) or overflows; at 1.5e-162
+        # h^2 is 0 but (2 h) h is not
+        with pytest.raises(ValueError, match="bandwidth"):
+            MeanShiftConfig(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e-150, 1e150])
+    def test_bandwidth_at_the_range_ends(self, bandwidth):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) * bandwidth
+        r = meanshift(pts, MeanShiftConfig(bandwidth=bandwidth))
+        labels, modes = seed_meanshift(pts, MeanShiftConfig(bandwidth=bandwidth))
+        assert np.array_equal(r.labels, labels)
+        assert np.array_equal(r.representatives, modes)
+
     @pytest.mark.parametrize(
         "rows, dims",
         [(None, (*range(1, 17), 24, 40, 130)), (1, (1, 8, 130)), (7, (1, 8, 130))],
@@ -896,6 +942,32 @@ class TestMeanshift:
             assert r.k == len(modes), f"case {case}"
             assert np.array_equal(r.labels, labels), f"case {case}"
             assert np.array_equal(r.representatives, modes), f"case {case}"
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_points_bit_identical(self, layout):
+        # the same modes as from the C-ordered points, whatever the layout
+        for case, (pts, cfg) in enumerate(meanshift_cases((1, 3, 8, 130))):
+            r = meanshift(non_contiguous(pts, layout), cfg)
+            labels, modes = seed_meanshift(pts, cfg)
+            assert np.array_equal(r.labels, labels), f"case {case}"
+            assert np.array_equal(r.representatives, modes), f"case {case}"
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 130])
+    @pytest.mark.parametrize("layout", ["C", "fortran", "strided"])
+    def test_stacked_matmul_equals_gemv_loop(self, d, layout):
+        # meanshift's one stacked call per block against one gemv per row;
+        # a 2-D (rows, n) @ (n, d) gemm is not among the equivalents
+        rng = np.random.default_rng(d)
+        for rows in range(1, 61):
+            n = int(rng.integers(1, 400))
+            points = non_contiguous(rng.normal(size=(n, d)), layout)
+            w = np.exp(-rng.uniform(0.0, 30.0, size=(rows, n)))
+            loop = np.empty((rows, d))
+            for r in range(rows):
+                np.matmul(w[r], points, out=loop[r])
+            stacked = np.empty((rows, d))
+            np.matmul(w[:, None, :], points, out=stacked[:, None, :])
+            assert np.array_equal(stacked, loop), f"rows {rows}, n {n}"
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
     def test_empty_shapes_match_seed_meanshift(self, shape):

@@ -299,6 +299,15 @@ class TestNormalization:
             assert p.center[j] == pytest.approx(mean, rel=1e-12)
             assert p.scale[j] == pytest.approx(var**0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("column", [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308]])
+    def test_overflow_names_the_column(self, column):
+        # the mean or the std overflows; normalized values would be NaN
+        ds = make_ds(np.column_stack([[1.0, 2.0, 3.0], column]), [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="column 'f1' is not finite"):
+            fit_normalization(ds)
+        with pytest.raises(DataError, match="the target is not finite"):
+            fit_normalization(make_ds([[1.0], [2.0], [3.0]], column))
+
     def test_fitted_set_has_zero_mean(self):
         rng = np.random.default_rng(2)
         ds = make_ds(rng.normal(size=(30, 2)), rng.normal(size=30))
