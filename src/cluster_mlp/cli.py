@@ -16,6 +16,7 @@ import datetime
 import hashlib
 import json
 import sys
+import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -315,9 +316,11 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
 
 def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     ds = _load_input(files)
+    start = time.perf_counter()
     report = constructor.sweep_hidden(
         ds, config_doc["widths"], cfg.split, cfg.train_cfg, cleaning=cfg.cleaning
     )
+    sweep_seconds = time.perf_counter() - start
     body = {
         "entries": [
             {
@@ -330,13 +333,15 @@ def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
         "best_hidden_width": report.best_hidden_width,
     }
     timings = {
-        "training_per_width": {str(e.hidden_width): e.training_seconds for e in report.entries}
+        "sweep": sweep_seconds,
+        "training_per_width": {str(e.hidden_width): e.training_seconds for e in report.entries},
     }
     diagnostics = {
+        "threads": report.threads,
         "per_width": {
             str(e.hidden_width): {"iterations": e.iterations, "converged": e.converged}
             for e in report.entries
-        }
+        },
     }
     _write_report(files.output, body, _header(config_doc, timings) | {"diagnostics": diagnostics})
     print(f"{'width':>6} {'rms_test':>10} {'corr':>8} {'time_s':>8}")

@@ -7,6 +7,8 @@ kmin stability study for X-means.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -105,6 +107,7 @@ class SweepEntry:
 class SweepReport:
     entries: tuple[SweepEntry, ...]
     best_hidden_width: int
+    threads: int  # threads that trained the widths, the caller included
 
 
 @dataclass(frozen=True)
@@ -217,13 +220,19 @@ def sweep_hidden(
     cleaning: CleaningPolicy = CleaningPolicy(),
 ) -> SweepReport:
     """Ad-hoc baseline: one model per hidden width on the pipeline's cleaned
-    split; the best width minimizes test RMS (ties go to the smaller network)."""
+    split; the best width minimizes test RMS (ties go to the smaller network).
+
+    The widths are independent, so they train concurrently, widest first, on
+    one thread per usable CPU at most (the caller is one of them). No
+    arithmetic is shared between them, so each entry equals that of a serial
+    loop bit for bit. Entries come in sorted width order. When widths fail,
+    the others still run, and the PipelineError of the smallest failing width
+    is raised, as a serial loop would raise it."""
     if not widths:
         raise ValueError("widths must be non-empty")
     train_raw, test_raw, norm = prepare(ds, split, cleaning)
 
-    entries = []
-    for w in sorted(widths):
+    def sweep_entry(w: int) -> SweepEntry:
         spec = NetworkSpec(input_width=train_raw.d, hidden_width=w)
         start = time.perf_counter()
         with _stage("training"):
@@ -233,18 +242,65 @@ def sweep_hidden(
             pred = mlp.predict(model, test_raw)
             rms_test = metrics.rms(pred, test_raw.targets)
             correlation = metrics.correlation(pred, test_raw.targets)
-        entries.append(
-            SweepEntry(
-                hidden_width=w,
-                rms_test=rms_test,
-                correlation=correlation,
-                training_seconds=training_seconds,
-                iterations=trained.iterations,
-                converged=trained.converged,
-            )
+        return SweepEntry(
+            hidden_width=w,
+            rms_test=rms_test,
+            correlation=correlation,
+            training_seconds=training_seconds,
+            iterations=trained.iterations,
+            converged=trained.converged,
         )
+
+    entries, threads = _map_widest_first(sweep_entry, sorted(widths))
     best = min(entries, key=lambda e: (e.rms_test, e.hidden_width))
-    return SweepReport(entries=tuple(entries), best_hidden_width=best.hidden_width)
+    return SweepReport(entries=tuple(entries), best_hidden_width=best.hidden_width, threads=threads)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_widest_first(fn, widths: list[int]) -> tuple[list, int]:
+    """([fn(w) for w in widths], thread count) for sorted widths. The calls
+    run last (widest) first on min(len(widths), usable CPUs) threads, the
+    caller one of them; each thread takes the next width from a shared
+    queue. Every call runs, then the exception of the first failing width
+    is raised. An exception escaping the caller's own share (an interrupt)
+    stops the helpers from taking new widths; they are joined before it
+    propagates."""
+    results = [None] * len(widths)
+    failures = {}
+    pending = iter(range(len(widths) - 1, -1, -1))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(widths[i])
+            except Exception as e:
+                failures[i] = e
+
+    threads = min(len(widths), _usable_cpus())
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        stop.set()  # a no-op once work() returned: nothing is left to take
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results, threads
 
 
 def kmin_stability(ds: Dataset, kmins: list[int], cfg: PipelineConfig) -> list[StabilityRow]:

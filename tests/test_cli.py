@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -214,16 +215,32 @@ class TestSweep:
         assert body["best_hidden_width"] == 4
         assert len(body["entries"]) == 1
 
-    def test_header_reports_training_per_width(self, blob_csv, tmp_path):
+    def test_header_reports_training_per_width(self, blob_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         doc = pipeline_config(blob_csv, tmp_path, widths=[2, 1], train={"max_iter": 5})
         for key in ("algorithm", "xmeans"):
             del doc[key]
         assert main(["sweep", str(write_config(tmp_path, "s.json", doc))]) == EXIT_OK
         report = read_report(tmp_path)
         assert report["header"]["diagnostics"] == {
-            "per_width": {w: {"iterations": 5, "converged": False} for w in ("1", "2")}
+            "threads": 2,
+            "per_width": {w: {"iterations": 5, "converged": False} for w in ("1", "2")},
         }
         assert all(set(e) == {"hidden_width", "rms_test", "correlation"} for e in report["body"]["entries"])
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_header_reports_threads_and_sweep_time(self, blob_csv, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        doc = pipeline_config(blob_csv, tmp_path, widths=[3, 1, 2], train={"max_iter": 5})
+        for key in ("algorithm", "xmeans"):
+            del doc[key]
+        assert main(["sweep", str(write_config(tmp_path, "s.json", doc))]) == EXIT_OK
+        header = read_report(tmp_path)["header"]
+        assert header["diagnostics"]["threads"] == min(cpus, 3)
+        per_width = header["timings_seconds"]["training_per_width"].values()
+        # the sweep's wall time spans every training; serial ones add up
+        sweep = header["timings_seconds"]["sweep"]
+        assert sweep >= (sum(per_width) if cpus == 1 else max(per_width)) > 0
 
     def test_empty_widths_is_config_error(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path, widths=[])

@@ -77,7 +77,7 @@ def seed_dbscan(points, eps, min_pts):
     n = points.shape[0]
     diff = points[:, None, :] - points[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    neighbors = [np.flatnonzero(d2[i] <= eps**2) for i in range(n)]
+    neighbors = [np.flatnonzero(d2[i] <= eps * eps) for i in range(n)]  # no libm pow
     is_core = np.array([len(nb) >= min_pts for nb in neighbors])
 
     labels = np.full(n, -1, dtype=int)
@@ -265,9 +265,10 @@ def meanshift_cases(dims=(*range(1, 17), 24, 40, 130)):
 
 def seed_within_eps(x, y, eps):
     """Bit-level oracle: DBSCAN's pair test as first blocked, the broadcast
-    difference summed by einsum."""
+    difference summed by einsum. eps is squared by a product, as `eps**2`
+    calls libm pow, which can round one ulp off."""
     diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff) <= eps**2
+    return np.einsum("ijk,ijk->ij", diff, diff) <= eps * eps
 
 
 def non_contiguous(pts, layout):
@@ -1061,6 +1062,20 @@ class TestSettle:
                 got = clustering._within_eps(x, y, float(eps))
                 assert np.array_equal(got, seed_within_eps(x, y, float(eps)))
                 eps = np.nextafter(eps, np.inf)
+
+    def test_within_eps_at_eps_squared_by_a_product(self):
+        # Points 0 and eps lie eps * eps apart squared. glibc's pow rounds
+        # this eps**2 one ulp below that, so an oracle squaring by ** calls
+        # the pair apart, and its DBSCAN finds no core.
+        eps = 1.5787950622808127
+        pts = np.array([[0.0], [eps]])
+        inside = clustering._within_eps(pts, pts, eps)
+        assert inside.all()
+        assert np.array_equal(inside, seed_within_eps(pts, pts, eps))
+        r = dbscan(pts, DbscanConfig(eps=eps, min_pts=2))
+        labels, reps, k = seed_dbscan(pts, eps, 2)
+        assert r.k == k == 1
+        assert np.array_equal(r.labels, labels) and np.array_equal(r.representatives, reps)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_within_eps_on_a_grid(self, d):

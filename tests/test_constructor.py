@@ -1,7 +1,12 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from cluster_mlp import mlp
+from cluster_mlp import metrics, mlp
 from cluster_mlp.clustering import Algorithm, DbscanConfig, MeanShiftConfig, XMeansConfig
 from cluster_mlp.constructor import (
     PipelineConfig,
@@ -295,6 +300,171 @@ class TestSweep:
             _, trained = mlp.train(NetworkSpec(2, e.hidden_width), train_raw, train_cfg, norm=norm)
             assert (e.iterations, e.converged) == (trained.iterations, trained.converged) == (10, False)
 
+    def test_entries_equal_a_serial_loop(self, monkeypatch):
+        # bit for bit (training time aside), widths trained on two threads
+        report_cpus(monkeypatch, 2)
+        ds = synth_blobs(3, 40, 2, 20.0, 1.0, seed=1)
+        train_cfg = TrainConfig(max_iter=40, restarts=2)
+        widths = [1, 2, 3, 4, 5, 6]
+        rep = sweep_hidden(ds, widths, SplitSpec(0.7, 0), train_cfg)
+        assert rep.threads == 2
+        assert [entry_bits(e) for e in rep.entries] == serial_sweep(ds, widths, train_cfg)
+
+    def test_unsorted_repeated_widths_equal_a_serial_loop(self, monkeypatch):
+        report_cpus(monkeypatch, 2)
+        ds = synth_blobs(2, 30, 2, 20.0, 1.0, seed=2)
+        rep = sweep_hidden(ds, [5, 1, 3, 3], SplitSpec(0.7, 0), FAST_TRAIN)
+        assert [e.hidden_width for e in rep.entries] == [1, 3, 3, 5]
+        assert [entry_bits(e) for e in rep.entries] == serial_sweep(ds, [1, 3, 3, 5], FAST_TRAIN)
+
+    def test_two_widths_train_at_once(self, monkeypatch):
+        # each training waits for the other: a serial sweep breaks the barrier
+        report_cpus(monkeypatch, 2)
+        barrier = threading.Barrier(2, timeout=5)
+        train = mlp.train
+
+        def meet_then_train(*args, **kwargs):
+            barrier.wait()
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(mlp, "train", meet_then_train)
+        ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
+        threads = threading.active_count()
+        rep = sweep_hidden(ds, [1, 2], SplitSpec(0.7, 0), FAST_TRAIN)
+        assert [e.hidden_width for e in rep.entries] == [1, 2]
+        assert rep.threads == 2
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_trainings_at_once_stay_within_the_cpus(self, monkeypatch, cpus):
+        report_cpus(monkeypatch, cpus)
+        train = mlp.train
+        lock = threading.Lock()
+        running, peak, callers = [0], [0], set()
+        threads = threading.active_count()
+
+        def counted_train(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                callers.add(threading.get_ident())
+            try:
+                time.sleep(0.01)
+                return train(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(mlp, "train", counted_train)
+        ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
+        rep = sweep_hidden(ds, [1, 2, 3, 4, 5, 6], SplitSpec(0.7, 0), FAST_TRAIN)
+        assert rep.threads == cpus
+        assert 1 <= peak[0] <= cpus and len(callers) <= cpus
+        if cpus == 1:  # no thread is started: the caller trains every width
+            assert callers == {threading.get_ident()}
+        assert threading.active_count() == threads
+
+    def test_each_width_trains_once_under_thread_switches(self, monkeypatch):
+        # more threads than cores, switching often: a width taken twice or
+        # never from the shared queue breaks the count or the entries
+        report_cpus(monkeypatch, 8)
+        train = mlp.train
+        tried = []
+
+        def counted_train(spec, *args, **kwargs):
+            tried.append(spec.hidden_width)
+            return train(spec, *args, **kwargs)
+
+        monkeypatch.setattr(mlp, "train", counted_train)
+        ds = synth_blobs(2, 10, 2, 20.0, 1.0, seed=0)
+        widths = list(range(16, 0, -1)) * 2
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = sweep_hidden(ds, widths, SplitSpec(0.7, 0), TrainConfig(max_iter=2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert rep.threads == 8
+        assert sorted(tried) == [e.hidden_width for e in rep.entries] == sorted(widths)
+        assert threading.active_count() == threads
+
+    def test_failure_of_the_smallest_failing_width_after_all_ran(self, monkeypatch):
+        report_cpus(monkeypatch, 2)
+        train, predict = mlp.train, mlp.predict
+        tried = []
+
+        def failing_train(spec, *args, **kwargs):
+            tried.append(spec.hidden_width)
+            if spec.hidden_width == 5:
+                raise mlp.NumericalError("width 5 diverged")
+            return train(spec, *args, **kwargs)
+
+        def failing_predict(model, part):
+            if model.spec.hidden_width == 3:
+                raise ValueError("width 3 cannot predict")
+            return predict(model, part)
+
+        monkeypatch.setattr(mlp, "train", failing_train)
+        monkeypatch.setattr(mlp, "predict", failing_predict)
+        ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(PipelineError) as info:
+            sweep_hidden(ds, [6, 5, 4, 3, 2, 1], SplitSpec(0.7, 0), FAST_TRAIN)
+        # width 3 fails in metrics before width 5 fails in training, as in a
+        # serial loop, and every width still ran
+        assert info.value.stage == "metrics"
+        assert str(info.value.cause) == "width 3 cannot predict"
+        assert sorted(tried) == [1, 2, 3, 4, 5, 6]
+        assert threading.active_count() == threads
+
+    def test_interrupt_stops_helpers_and_joins_them(self, monkeypatch):
+        report_cpus(monkeypatch, 2)
+        caller = threading.get_ident()
+        helper_started, interrupted = threading.Event(), threading.Event()
+        tried = []
+
+        def interrupted_train(spec, *args, **kwargs):
+            tried.append(spec.hidden_width)
+            if threading.get_ident() == caller:
+                helper_started.wait(5)
+                interrupted.set()
+                raise KeyboardInterrupt
+            helper_started.set()
+            interrupted.wait(5)
+            time.sleep(0.5)  # the caller's interrupt reaches the sweep meanwhile
+            raise mlp.NumericalError("stopped")
+
+        monkeypatch.setattr(mlp, "train", interrupted_train)
+        ds = synth_blobs(2, 20, 2, 20.0, 1.0, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            sweep_hidden(ds, [1, 2, 3, 4, 5, 6, 7, 8], SplitSpec(0.7, 0), FAST_TRAIN)
+        assert threading.active_count() == threads
+        # the helper took no width after its first, the two widest go first
+        assert sorted(tried) == [7, 8]
+
+
+def report_cpus(monkeypatch, n: int) -> None:
+    """Makes the sweep see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def entry_bits(e) -> tuple:
+    return (e.hidden_width, e.rms_test.hex(), e.correlation.hex(), e.iterations, e.converged)
+
+
+def serial_sweep(ds: Dataset, widths: list[int], train_cfg: TrainConfig) -> list[tuple]:
+    """The sweep's entries as one plain loop over the widths computes them."""
+    train_raw, test_raw, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
+    rows = []
+    for w in widths:
+        model, trained = mlp.train(NetworkSpec(train_raw.d, w), train_raw, train_cfg, norm=norm)
+        pred = mlp.predict(model, test_raw)
+        rms = metrics.rms(pred, test_raw.targets)
+        corr = metrics.correlation(pred, test_raw.targets)
+        rows.append((w, rms.hex(), corr.hex(), trained.iterations, trained.converged))
+    return rows
 
 class TestKminStability:
     def test_collapsed_search(self):
