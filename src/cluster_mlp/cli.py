@@ -16,7 +16,6 @@ import datetime
 import hashlib
 import json
 import sys
-import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -102,6 +101,10 @@ class EvaluateSpec:
         require_field_types(self)
         if self.outlier_threshold <= 0:
             raise ValueError(f"outlier_threshold must be positive, got {self.outlier_threshold!r}")
+        if self.pred_column == self.actual_column:
+            raise ValueError(
+                f"pred_column {self.pred_column!r} and actual_column {self.actual_column!r} must differ"
+            )
 
 
 def _load_config(path) -> dict:
@@ -110,6 +113,8 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -283,8 +288,8 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     body = {
         "architecture": str(report.spec),
         "k": report.k,
-        "train_rows": report.train_rows,
-        "test_rows": report.test_rows,
+        "train_rows": report.metrics_train.n,
+        "test_rows": report.metrics_test.n,
         "metrics_train": asdict(report.metrics_train),
         "metrics_validation": None if validation is None else asdict(validation),
         "metrics_test": asdict(report.metrics_test),
@@ -316,11 +321,9 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
 
 def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     ds = _load_input(files)
-    start = time.perf_counter()
     report = constructor.sweep_hidden(
         ds, config_doc["widths"], cfg.split, cfg.train_cfg, cleaning=cfg.cleaning
     )
-    sweep_seconds = time.perf_counter() - start
     body = {
         "entries": [
             {
@@ -333,13 +336,13 @@ def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
         "best_hidden_width": report.best_hidden_width,
     }
     timings = {
-        "sweep": sweep_seconds,
+        "sweep": report.seconds,
         "training_per_width": {str(e.hidden_width): e.training_seconds for e in report.entries},
     }
     diagnostics = {
         "threads": report.threads,
         "per_width": {
-            str(e.hidden_width): {"iterations": e.iterations, "converged": e.converged}
+            str(e.hidden_width): {"iterations": e.training.iterations, "converged": e.training.converged}
             for e in report.entries
         },
     }
@@ -359,7 +362,7 @@ def cmd_stability(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int
         "rows": [{"kmin": r.kmin, "k": r.k} for r in rows],
     }
     timings = {"per_kmin": {str(r.kmin): {"clustering": r.clustering_seconds} for r in rows}}
-    diagnostics = {"per_kmin": {str(r.kmin): {"stopped_by": r.stopped_by} for r in rows}}
+    diagnostics = {"per_kmin": {str(r.kmin): {"stopped_by": r.diagnostics["stopped_by"]} for r in rows}}
     _write_report(files.output, body, _header(config_doc, timings) | {"diagnostics": diagnostics})
     print(f"{'kmin':>5} {'k':>4} {'cluster_s':>10}")
     for r in rows:

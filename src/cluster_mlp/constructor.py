@@ -57,11 +57,15 @@ class PipelineConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     cleaning: CleaningPolicy = field(default_factory=CleaningPolicy)
-    validation_fraction: float = 0.2
+    validation_fraction: float = 0.2  # 0 reports no validation block
     validation_seed: int = 1
 
     def __post_init__(self):
         require_field_types(self)
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ValueError(f"validation_fraction must be in [0, 1), got {self.validation_fraction!r}")
+        if self.validation_seed < 0:
+            raise ValueError(f"validation_seed must be non-negative, got {self.validation_seed!r}")
         present = [a.value for a in Algorithm if getattr(self, a.value) is not None]
         if len(present) > 1:
             raise ValueError(f"more than one algorithm config: {present}")
@@ -75,22 +79,20 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    k: int
     spec: NetworkSpec
     clustering_seconds: float
     training_seconds: float
     metrics_train: MetricBlock
     metrics_test: MetricBlock
     metrics_validation: MetricBlock | None
-    train_rows: int
-    test_rows: int
     training: TrainReport
     clustering_diagnostics: dict  # ClusteringResult.diagnostics
     model: mlp.MlpModel = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.spec.hidden_width != self.k:
-            raise ValueError("hidden width must equal the cluster count")
+    @property
+    def k(self) -> int:
+        """The cluster count, which is the hidden width."""
+        return self.spec.hidden_width
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,7 @@ class SweepEntry:
     rms_test: float
     correlation: float
     training_seconds: float
-    iterations: int  # TrainReport.iterations of this width's training
-    converged: bool  # TrainReport.converged
+    training: TrainReport
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,7 @@ class SweepReport:
     entries: tuple[SweepEntry, ...]
     best_hidden_width: int
     threads: int  # threads that trained the widths, the caller included
+    seconds: float  # wall time of the whole sweep, data preparation included
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class StabilityRow:
     kmin: int
     k: int
     clustering_seconds: float
-    stopped_by: str  # X-means' diagnostics["stopped_by"]
+    diagnostics: dict  # X-means' ClusteringResult.diagnostics
 
 
 @contextmanager
@@ -182,7 +184,7 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
 
     # reported-only validation cut carved from the training portion
     val_part = None
-    if train_raw.n >= 5 and 0.0 < cfg.validation_fraction < 1.0:
+    if train_raw.n >= 5 and cfg.validation_fraction > 0.0:
         _, val_part = holdout_split(
             train_raw,
             SplitSpec(train_fraction=1.0 - cfg.validation_fraction, seed=cfg.validation_seed),
@@ -193,15 +195,12 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         test_block = _metric_block(model, test_raw)
 
     return PipelineReport(
-        k=spec.hidden_width,
         spec=spec,
         clustering_seconds=clustering_seconds,
         training_seconds=training_seconds,
         metrics_train=train_block,
         metrics_test=test_block,
         metrics_validation=val_block,
-        train_rows=train_raw.n,
-        test_rows=test_raw.n,
         training=train_report,
         clustering_diagnostics=clustered.diagnostics,
         model=model,
@@ -230,6 +229,7 @@ def sweep_hidden(
     is raised, as a serial loop would raise it."""
     if not widths:
         raise ValueError("widths must be non-empty")
+    start = time.perf_counter()
     train_raw, test_raw, norm = prepare(ds, split, cleaning)
 
     def sweep_entry(w: int) -> SweepEntry:
@@ -247,13 +247,12 @@ def sweep_hidden(
             rms_test=rms_test,
             correlation=correlation,
             training_seconds=training_seconds,
-            iterations=trained.iterations,
-            converged=trained.converged,
+            training=trained,
         )
 
     entries, threads = _map_widest_first(sweep_entry, sorted(widths))
     best = min(entries, key=lambda e: (e.rms_test, e.hidden_width))
-    return SweepReport(entries=tuple(entries), best_hidden_width=best.hidden_width, threads=threads)
+    return SweepReport(tuple(entries), best.hidden_width, threads, time.perf_counter() - start)
 
 
 def _usable_cpus() -> int:
@@ -317,12 +316,5 @@ def kmin_stability(ds: Dataset, kmins: list[int], cfg: PipelineConfig) -> list[S
     for kmin in kmins:
         xcfg = replace(cfg.xmeans, kmin=kmin, kmax=max(kmin, cfg.xmeans.kmax))
         spec, clustered, seconds = timed_clustering(train_norm, replace(cfg, xmeans=xcfg))
-        rows.append(
-            StabilityRow(
-                kmin=kmin,
-                k=spec.hidden_width,
-                clustering_seconds=seconds,
-                stopped_by=clustered.diagnostics["stopped_by"],
-            )
-        )
+        rows.append(StabilityRow(kmin, spec.hidden_width, seconds, clustered.diagnostics))
     return rows

@@ -106,8 +106,8 @@ class Dataset:
         (synth_blobs' true_labels, for one), so the subset gets none."""
         idx = np.asarray(idx)
         return Dataset(
-            features=self.features[idx].copy(),
-            targets=self.targets[idx].copy(),
+            features=self.features[idx],
+            targets=self.targets[idx],
             feature_names=self.feature_names,
             row_ids=tuple(map(self.row_ids.__getitem__, idx.tolist())),
         )
@@ -178,101 +178,97 @@ def load_csv(path, target_column: str, id_column: str | None = None) -> Dataset:
     optional id column, everything else a feature. Sentinels are kept
     verbatim; cleaning is a separate step. Every cell must parse as a
     finite number; a DataError names the row and column of the first that
-    does not.
+    does not, and names the file when it is not UTF-8 CSV text.
 
-    A file of plain numeric cells with no id column is parsed by numpy in
-    one call. Any other file, including every malformed one, is read row by
-    row, so the row reader alone words the errors."""
+    The header is read and checked once. A body of plain numeric cells with
+    no id column is parsed by numpy in one call; any other body, including
+    every malformed one, is read row by row, so the row reader alone words
+    the errors."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    if id_column is None:
-        ds = _load_numeric_csv(path, target_column)
-        if ds is not None:
-            return ds
-    return _load_csv_rows(path, target_column, id_column)
-
-
-def _load_numeric_csv(path: Path, target_column: str) -> Dataset | None:
-    """The whole table through np.loadtxt, or None where the row reader must
-    decide: the header lacks the target or a feature column, the parse fails
-    or warns, there is no data row, the table's width is not the header's,
-    or a cell is not finite."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            header = next(csv.reader(fh))
-            if target_column not in header or len(header) < 2:
-                return None
-            fh.seek(0)
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            if target_column not in header:
+                raise DataError(f"{path}: target column {target_column!r} not in header {header}")
+            if id_column is not None and id_column not in header:
+                raise DataError(f"{path}: id column {id_column!r} not in header")
+            t_idx = header.index(target_column)
+            id_idx = header.index(id_column) if id_column is not None else None
+            feat_idx = [i for i in range(len(header)) if i != t_idx and i != id_idx]
+            if not feat_idx:
+                raise DataError(f"{path}: no feature columns")
+
+            table = _numeric_body(fh, len(header)) if id_idx is None else None
+            if table is not None:
+                features, targets = table.take(feat_idx, axis=1), np.ascontiguousarray(table[:, t_idx])
+                row_ids = tuple(map(str, range(table.shape[0])))
+            else:
+                fh.seek(0)
+                next(reader)  # the header, checked above
+                features, targets, row_ids = _read_rows(path, reader, header, feat_idx, t_idx, id_idx)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: not readable as UTF-8 CSV: {e}") from None
+    return Dataset(
+        features=features,
+        targets=targets,
+        feature_names=tuple(header[i] for i in feat_idx),
+        row_ids=row_ids,
+    )
+
+
+def _numeric_body(fh, width: int) -> np.ndarray | None:
+    """The rest of fh as one (n, width) table through np.loadtxt, or None
+    where the row reader must decide: the parse fails or warns, there is no
+    data row, the table's width is not the header's, or a cell is not
+    finite."""
+    try:
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(fh, delimiter=",", skiprows=1, dtype=float, ndmin=2, comments=None)
-    except (StopIteration, csv.Error, ValueError, UserWarning):
+            table = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2, comments=None)
+    except (ValueError, UserWarning):
         return None
-    if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
+    if table.shape[0] == 0 or table.shape[1] != width or not np.isfinite(table).all():
         return None
-    t_idx = header.index(target_column)
-    feat_idx = [i for i in range(len(header)) if i != t_idx]
-    return Dataset(
-        features=table.take(feat_idx, axis=1),
-        targets=np.ascontiguousarray(table[:, t_idx]),
-        feature_names=tuple(header[i] for i in feat_idx),
-        row_ids=tuple(map(str, range(table.shape[0]))),
-    )
+    return table
 
 
-def _load_csv_rows(path: Path, target_column: str, id_column: str | None) -> Dataset:
-    """Row-by-row reader: handles id columns, quoted cells and every number
-    float() accepts, and words every load error."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if target_column not in header:
-            raise DataError(f"{path}: target column {target_column!r} not in header {header}")
-        if id_column is not None and id_column not in header:
-            raise DataError(f"{path}: id column {id_column!r} not in header")
-        t_idx = header.index(target_column)
-        id_idx = header.index(id_column) if id_column is not None else None
-        feat_idx = [i for i in range(len(header)) if i != t_idx and i != id_idx]
-        if not feat_idx:
-            raise DataError(f"{path}: no feature columns")
-
-        rows: list[list[float]] = []
-        targets: list[float] = []
-        row_ids: list[str] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in record):
-                continue  # an empty or all-blank line, such as trailing spaces
-            if len(record) != len(header):
-                raise DataError(f"{path}: row {lineno} has {len(record)} cells, expected {len(header)}")
-            parsed = []
-            for i in feat_idx + [t_idx]:
-                cell = record[i].strip()
-                if cell == "":
-                    raise DataError(f"{path}: row {lineno}, column {header[i]!r}: empty cell")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {header[i]!r}: cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: row {lineno}, column {header[i]!r}: non-finite value {cell!r}")
-                parsed.append(value)
-            rows.append(parsed[:-1])
-            targets.append(parsed[-1])
-            row_ids.append(record[id_idx].strip() if id_idx is not None else str(len(row_ids)))
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-
-    return Dataset(
-        features=np.array(rows, dtype=float),
-        targets=np.array(targets, dtype=float),
-        feature_names=tuple(header[i] for i in feat_idx),
-        row_ids=tuple(row_ids),
-    )
+def _read_rows(path: Path, reader, header: list[str], feat_idx: list[int], t_idx: int, id_idx: int | None):
+    """The row-by-row body parse: (features, targets, row_ids). Handles id
+    columns, quoted cells and every number float() accepts, and words every
+    load error."""
+    rows: list[list[float]] = []
+    targets: list[float] = []
+    row_ids: list[str] = []
+    for lineno, record in enumerate(reader, start=2):
+        if not any(cell.strip() for cell in record):
+            continue  # an empty or all-blank line, such as trailing spaces
+        if len(record) != len(header):
+            raise DataError(f"{path}: row {lineno} has {len(record)} cells, expected {len(header)}")
+        parsed = []
+        for i in feat_idx + [t_idx]:
+            cell = record[i].strip()
+            if cell == "":
+                raise DataError(f"{path}: row {lineno}, column {header[i]!r}: empty cell")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {lineno}, column {header[i]!r}: cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: row {lineno}, column {header[i]!r}: non-finite value {cell!r}")
+            parsed.append(value)
+        rows.append(parsed[:-1])
+        targets.append(parsed[-1])
+        row_ids.append(record[id_idx].strip() if id_idx is not None else str(len(row_ids)))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.array(rows, dtype=float), np.array(targets, dtype=float), tuple(row_ids)
 
 
 def filter_labeled(ds: Dataset, policy: CleaningPolicy) -> Dataset:

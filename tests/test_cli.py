@@ -430,6 +430,20 @@ def evaluate_config(tmp_path, **extra):
     return doc
 
 
+@pytest.mark.parametrize("command", ["cluster", "pipeline", "evaluate"])
+@pytest.mark.parametrize("text", [b"a,z\xe9\n1,2\n3,4\n", b"a,z\n1,2\n3,4\xe9\n"], ids=["header", "body"])
+def test_non_utf8_csv_is_data_error(tmp_path, capsys, command, text):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text)
+    if command == "evaluate":
+        doc = evaluate_config(tmp_path, input=str(path), pred_column="a", actual_column="z")
+    else:
+        doc = pipeline_config(path, tmp_path, target_column="z")
+    assert main([command, str(write_config(tmp_path, "c.json", doc))]) == EXIT_DATA
+    assert f"data error: {path}: not readable as UTF-8 CSV" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestEvaluate:
     def test_integer_threshold_reported_as_number(self, tmp_path):
         cfg = write_config(tmp_path, "e.json", evaluate_config(tmp_path, outlier_threshold=1))
@@ -463,6 +477,12 @@ class TestEvaluate:
         assert main(["evaluate", str(cfg)]) == EXIT_NUMERICAL
 
 
+    def test_same_pred_and_actual_column_is_config_error(self, tmp_path, capsys):
+        doc = evaluate_config(tmp_path, pred_column="actual", actual_column="actual")
+        assert main(["evaluate", str(write_config(tmp_path, "e.json", doc))]) == EXIT_CONFIG
+        assert "pred_column 'actual' and actual_column 'actual' must differ" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_split_is_an_unknown_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", evaluate_config(tmp_path, split={"folds": "x"}))
         assert main(["evaluate", str(cfg)]) == EXIT_CONFIG
@@ -491,6 +511,12 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["pipeline", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"schema_version": 1, "input": "caf\xe9.csv"}')
+        assert main(["pipeline", str(path)]) == EXIT_CONFIG
+        assert f"config error: {path}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -640,6 +666,10 @@ BOUNDARY_CASES = [
     ("pipeline", "cleaning", "target_missing_sentinel", -float("inf")),
     ("evaluate", None, "pred_column", 5),
     ("evaluate", None, "actual_column", ["a"]),
+    ("pipeline", None, "validation_seed", -1),
+    ("pipeline", None, "validation_fraction", -0.5),
+    ("pipeline", None, "validation_fraction", 1),
+    ("pipeline", None, "validation_fraction", 1.5),
 ]
 
 

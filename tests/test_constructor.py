@@ -106,7 +106,6 @@ class TestRunPipeline:
         report = run_pipeline(ds, xmeans_cfg())
         assert abs(report.k - 5) <= 1
         assert report.spec.hidden_width == report.k
-        assert report.metrics_test.n == report.test_rows
         assert report.clustering_seconds >= 0
         assert report.training_seconds >= 0
         assert report.metrics_validation is not None
@@ -238,6 +237,11 @@ class TestSweep:
         assert rep.best_hidden_width == 4
         assert len(rep.entries) == 1
 
+    def test_seconds_cover_every_training(self):
+        ds = synth_blobs(2, 30, 2, 20.0, 1.0, seed=0)
+        rep = sweep_hidden(ds, [1, 2, 3], SplitSpec(0.7, 0), FAST_TRAIN)
+        assert rep.seconds >= max(e.training_seconds for e in rep.entries) > 0
+
     def test_best_minimizes_test_rms(self):
         ds = synth_blobs(3, 40, 2, 20.0, 1.0, seed=1)
         rep = sweep_hidden(ds, [1, 3, 6], SplitSpec(0.7, 0), FAST_TRAIN)
@@ -298,7 +302,8 @@ class TestSweep:
         train_raw, _, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
         for e in rep.entries:
             _, trained = mlp.train(NetworkSpec(2, e.hidden_width), train_raw, train_cfg, norm=norm)
-            assert (e.iterations, e.converged) == (trained.iterations, trained.converged) == (10, False)
+            assert e.training == trained
+            assert (trained.iterations, trained.converged) == (10, False)
 
     def test_entries_equal_a_serial_loop(self, monkeypatch):
         # bit for bit (training time aside), widths trained on two threads
@@ -451,7 +456,7 @@ def report_cpus(monkeypatch, n: int) -> None:
 
 
 def entry_bits(e) -> tuple:
-    return (e.hidden_width, e.rms_test.hex(), e.correlation.hex(), e.iterations, e.converged)
+    return (e.hidden_width, e.rms_test.hex(), e.correlation.hex(), e.training.iterations, e.training.converged)
 
 
 def serial_sweep(ds: Dataset, widths: list[int], train_cfg: TrainConfig) -> list[tuple]:
@@ -505,10 +510,10 @@ class TestKminStability:
     def test_rows_match_the_pipeline(self):
         ds = synth_blobs(5, 40, 3, 30.0, 1.0, seed=7)
         rows = kmin_stability(ds, [2, 4], xmeans_cfg(kmax=3))
-        assert [(r.kmin, r.k, r.stopped_by) for r in rows] == [(2, 3, "kmax"), (4, 4, "kmax")]
+        assert [(r.kmin, r.k, r.diagnostics["stopped_by"]) for r in rows] == [(2, 3, "kmax"), (4, 4, "kmax")]
         for r in rows:
             report = run_pipeline(ds, xmeans_cfg(kmin=r.kmin, kmax=max(r.kmin, 3)))
-            assert (report.k, report.clustering_diagnostics["stopped_by"]) == (r.k, r.stopped_by)
+            assert (report.k, report.clustering_diagnostics) == (r.k, r.diagnostics)
 
     def test_clustering_failure_names_the_stage(self):
         ds = synth_blobs(2, 5, 2, 20.0, 1.0, seed=0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cluster_mlp import dataset
 from cluster_mlp.cli import EvaluateSpec, RunFiles, SynthSpec
 from cluster_mlp.clustering import DbscanConfig, MeanShiftConfig, XMeansConfig
 from cluster_mlp.constructor import PipelineConfig
@@ -16,8 +17,6 @@ from cluster_mlp.dataset import (
     RowPolicy,
     SplitSpec,
     TargetFn,
-    _load_csv_rows,
-    _load_numeric_csv,
     apply_normalization,
     clean_sentinels,
     filter_labeled,
@@ -104,9 +103,9 @@ class TestLoadCsv:
         assert ds.d == 1
 
 
-def load_outcome(loader, path, id_column):
+def load_outcome(path, id_column):
     try:
-        ds = loader(path, "z", id_column)
+        ds = load_csv(path, "z", id_column)
     except DataError as e:
         return str(e)
     return (
@@ -120,8 +119,25 @@ def load_outcome(loader, path, id_column):
     )
 
 
+def numpy_and_row_reader(monkeypatch, path, id_column):
+    """(whether numpy parsed the body, load_csv's outcome, the outcome with
+    every body left to the row reader)."""
+    parsed = []
+    numeric_body = dataset._numeric_body
+
+    def spy(*args):
+        table = numeric_body(*args)
+        parsed.append(table is not None)
+        return table
+
+    monkeypatch.setattr(dataset, "_numeric_body", spy)
+    outcome = load_outcome(path, id_column)
+    monkeypatch.setattr(dataset, "_numeric_body", lambda *args: None)
+    return any(parsed), outcome, load_outcome(path, id_column)
+
+
 class TestLoadCsvPaths:
-    """load_csv hands a file to numpy only where the row reader would
+    """load_csv hands a body to numpy only where the row reader would
     return the same Dataset; everything else gets the row reader's error."""
 
     @pytest.mark.parametrize(
@@ -140,11 +156,12 @@ class TestLoadCsvPaths:
             ("a,z\n1,2\n\n3,4\n", None, True),  # blank line
         ],
     )
-    def test_same_result_as_row_reader(self, tmp_path, text, id_column, numeric):
+    def test_same_result_as_row_reader(self, tmp_path, monkeypatch, text, id_column, numeric):
         p = tmp_path / "f.csv"
         p.write_bytes(text.encode())
-        assert (_load_numeric_csv(p, "z") is not None) == numeric
-        assert load_outcome(load_csv, p, id_column) == load_outcome(_load_csv_rows, p, id_column)
+        took_numpy, outcome, rows_outcome = numpy_and_row_reader(monkeypatch, p, id_column)
+        assert took_numpy == numeric
+        assert outcome == rows_outcome
 
     @pytest.mark.parametrize("blank", ["   \n", "\t\n", " , ,\n"])
     @pytest.mark.parametrize("where", ["middle", "end"])
@@ -155,14 +172,21 @@ class TestLoadCsvPaths:
         rows.insert(2 if where == "middle" else 3, blank)
         padded.write_text("".join(rows))
         for id_column in (None, "a"):
-            assert load_outcome(load_csv, padded, id_column) == load_outcome(load_csv, plain, id_column)
+            assert load_outcome(padded, id_column) == load_outcome(plain, id_column)
 
-    def test_random_floats_same_as_row_reader(self, tmp_path):
+    def test_random_floats_same_as_row_reader(self, tmp_path, monkeypatch):
         ds = synth_blobs(3, 40, 4, 10.0, 0.5, seed=2)
         p = tmp_path / "f.csv"
         write_csv(ds, p, target_column="z")
-        assert _load_numeric_csv(p, "z") is not None
-        assert load_outcome(load_csv, p, None) == load_outcome(_load_csv_rows, p, None)
+        took_numpy, outcome, rows_outcome = numpy_and_row_reader(monkeypatch, p, None)
+        assert took_numpy
+        assert outcome == rows_outcome
+
+    def test_cell_over_the_csv_field_limit_is_data_error(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("a,z\n" + "1" * 200_000 + ",2\n")
+        with pytest.raises(DataError, match="not readable as UTF-8 CSV: field larger than field limit"):
+            load_csv(p, "z")
 
 
 class TestFilterLabeled:
