@@ -112,7 +112,7 @@ def _load_config(path) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8-sig"))  # a byte-order mark is dropped
     except UnicodeDecodeError as e:
         raise ConfigError(f"{p}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:

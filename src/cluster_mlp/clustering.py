@@ -48,8 +48,7 @@ class ClusteringResult:
             raise ClusteringError("labels out of range")
         if np.any(labels == -1) and self.algorithm is not Algorithm.DBSCAN:
             raise ClusteringError("noise labels are only valid for DBSCAN")
-        present = np.unique(labels[labels >= 0])
-        if self.k > 0 and present.size != self.k:
+        if self.k > 0 and not np.bincount(labels[labels >= 0], minlength=self.k).all():
             raise ClusteringError("every label in [0, k) must occur at least once")
 
 
@@ -58,16 +57,14 @@ class XMeansConfig:
     kmin: int = 2
     kmax: int = 200
     max_split_rounds: int = 50
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         require_field_types(self)
         if self.kmin < 1 or self.kmax < self.kmin:
             raise ValueError("need 1 <= kmin <= kmax")
-        if self.max_split_rounds < 1 or self.kmeans_max_iter < 1 or self.kmeans_tol <= 0:
-            raise ValueError("invalid x-means config")
+        if self.max_split_rounds < 1:
+            raise ValueError("max_split_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -196,12 +193,18 @@ def lloyd(
     return labels, centroids, history
 
 
+# Lloyd's iteration cap and centroid-movement tolerance in kmeans and in
+# X-means' splits.
+_LLOYD_MAX_ITER = 300
+_LLOYD_TOL = 1e-6
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
     seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
+    max_iter: int = _LLOYD_MAX_ITER,
+    tol: float = _LLOYD_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd from distance-weighted seeding; returns (labels, centroids)."""
     points = np.asarray(points, dtype=float)
@@ -367,7 +370,7 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
         raise ClusteringError(f"kmin={cfg.kmin} exceeds the number of points n={n}")
     rng = np.random.default_rng(cfg.seed)
 
-    base_labels, _ = kmeans(points, cfg.kmin, cfg.seed, cfg.kmeans_max_iter, cfg.kmeans_tol)
+    base_labels, _ = kmeans(points, cfg.kmin, cfg.seed)
     # One (rows, centroid, open, verdict) entry per cluster. Splits never
     # reassign points across clusters, so a refused cluster keeps its
     # members; a new attempt differs only through its seedings. One attempt
@@ -393,9 +396,7 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
             split = None
             if is_open and total < cfg.kmax and idx.size >= 3:
                 diagnostics["split_attempts"] += 1
-                split = _split_candidates(
-                    points[idx], parent, rng, cfg.kmeans_max_iter, cfg.kmeans_tol, retry=retry
-                )
+                split = _split_candidates(points[idx], parent, rng, _LLOYD_MAX_ITER, _LLOYD_TOL, retry=retry)
             if split is not None:
                 sub_labels, sub_centroids = split
                 next_clusters.append((idx[sub_labels == 0], sub_centroids[0], True, None))
@@ -503,12 +504,29 @@ def _eps_blocks(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
         a = b
 
 
+def _column_sum(
+    columns: np.ndarray, x: np.ndarray, js: range, acc: np.ndarray, scratch: np.ndarray, onto: bool = False
+) -> np.ndarray:
+    """acc[r, i] = sum over j in js of (columns[j][i] - x[r, j])**2, the terms
+    added left to right, each a loop over a whole (rows, n) array: the first
+    is formed in acc itself, each later one in scratch. With onto, acc's own
+    values come first and every term is formed in scratch."""
+    for j in js:
+        t = scratch if onto else acc
+        np.subtract(columns[j], x[:, j : j + 1], out=t)
+        np.square(t, out=t)
+        if onto:
+            acc += t
+        onto = True
+    return acc
+
+
 def _within_eps(x: np.ndarray, y: np.ndarray, eps: float, workspace: np.ndarray | None = None) -> np.ndarray:
     """(rows of x, rows of y) booleans: the pair lies within eps, as the
     einsum of its difference row decides it, the same expression for every
     pair whatever the block: so the test sees the values an all-pairs
     (n, n, d) array would hold. The squared distances are first summed one
-    coordinate at a time, each loop over the window, and settled
+    coordinate at a time (_column_sum), each loop over the window, and settled
     (_settle); einsum reruns only on the pairs near eps. The sums go to the
     prefixes of `workspace`'s two flat rows, or to new arrays when it is
     missing or too small."""
@@ -517,11 +535,7 @@ def _within_eps(x: np.ndarray, y: np.ndarray, eps: float, workspace: np.ndarray 
     if workspace is None or size > workspace.shape[1]:
         workspace = np.empty((2, size))
     fast, term = (buf[:size].reshape(x.shape[0], y.shape[0]) for buf in workspace)
-    np.subtract(y[:, 0], x[:, 0, None], out=fast)
-    np.square(fast, out=fast)
-    for j in range(1, d):
-        np.subtract(y[:, j], x[:, j, None], out=term)
-        fast += np.square(term, out=term)
+    _column_sum(y.T, x, range(d), fast, term)
     # Squared by a product: a float ** 2 that overflows raises; this is inf.
     bound = eps * eps
     inside, unsure = _settle(fast, bound, d)
@@ -606,33 +620,19 @@ def _sq_dists(columns: np.ndarray, x: np.ndarray, lo: int, m: int, bufs: list[np
     below 8 values; up to 128, eight accumulators over strides of 8, joined
     as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right;
     above 128, the two halves split at a multiple of 8. So every distance is
-    bit-identical to the one-row expression, whatever d is.
+    bit-identical to the one-row expression, whatever d is. Every left-to-right
+    run is one _column_sum, the loop DBSCAN's _within_eps runs too.
     """
-
-    def term(j, out):
-        np.subtract(columns[j], x[:, j : j + 1], out=out)
-        return np.square(out, out=out)
-
     if m < 8:
-        acc = bufs[0]
         if m == 0:
-            acc.fill(0.0)
-            return acc
-        term(lo, acc)
-        for j in range(lo + 1, lo + m):
-            acc += term(j, bufs[1])
-        return acc
+            bufs[0].fill(0.0)
+        return _column_sum(columns, x, range(lo, lo + m), bufs[0], bufs[1])
     if m <= 128:
         tail = lo + m - m % 8
 
         def pair(j, acc, other, t):  # r_j + r_{j+1}, each the strided sum from lo + j
-            term(lo + j, acc)
-            for i in range(lo + j + 8, tail, 8):
-                acc += term(i, t)
-            term(lo + j + 1, other)
-            for i in range(lo + j + 9, tail, 8):
-                other += term(i, t)
-            acc += other
+            _column_sum(columns, x, range(lo + j, tail, 8), acc, t)
+            acc += _column_sum(columns, x, range(lo + j + 1, tail, 8), other, t)
             return acc
 
         # Each pair is joined before the next is built, so at most two
@@ -642,9 +642,7 @@ def _sq_dists(columns: np.ndarray, x: np.ndarray, lo: int, m: int, bufs: list[np
         right = pair(4, *bufs[1:4])
         right += pair(6, *bufs[2:5])
         acc += right
-        for j in range(tail, lo + m):
-            acc += term(j, bufs[1])
-        return acc
+        return _column_sum(columns, x, range(tail, lo + m), acc, bufs[1], onto=True)
     half = m // 2 - (m // 2) % 8
     acc = _sq_dists(columns, x, lo, half, bufs)
     acc += _sq_dists(columns, x, lo + half, m - half, bufs[1:])

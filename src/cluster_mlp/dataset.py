@@ -188,7 +188,8 @@ def load_csv(path, target_column: str, id_column: str | None = None) -> Dataset:
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write.
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -395,18 +396,12 @@ def synth_blobs(
     )
 
 
-def write_csv(ds: Dataset, path, target_column: str = "target", id_column: str | None = None) -> None:
-    """Writes a dataset back out in the ingestion schema (17 significant
-    digits, so a round-trip through load_csv is lossless)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def write_csv(ds: Dataset, path, target_column: str = "target") -> None:
+    """Writes a dataset back out in the ingestion schema, features then the
+    target (17 significant digits, so a round-trip through load_csv is
+    lossless)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(ds.feature_names) + [target_column]
-        if id_column is not None:
-            header = [id_column] + header
-        writer.writerow(header)
+        writer.writerow([*ds.feature_names, target_column])
         for i in range(ds.n):
-            row = [f"{v:.17g}" for v in ds.features[i]] + [f"{ds.targets[i]:.17g}"]
-            if id_column is not None:
-                row = [ds.row_ids[i]] + row
-            writer.writerow(row)
+            writer.writerow([f"{v:.17g}" for v in ds.features[i]] + [f"{ds.targets[i]:.17g}"])

@@ -17,9 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, NormalizationParams, fit_normalization, require_field_types
+from .dataset import Dataset, NormalizationParams, apply_normalization, fit_normalization, require_field_types
 
 MODEL_FORMAT_VERSION = 1
+
+# The strong Wolfe constants of the line search: sufficient decrease (c1)
+# and curvature (c2).
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
 
 
 class NumericalError(Exception):
@@ -73,15 +78,11 @@ class TrainConfig:
     lbfgs_memory: int = 10
     max_iter: int = 300
     grad_tol: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     init_scale_seed: int = 0
     restarts: int = 1
 
     def __post_init__(self):
         require_field_types(self)
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.lbfgs_memory < 1 or self.max_iter < 1 or self.restarts < 1:
             raise ValueError("memory, max_iter, restarts must be positive")
         if self.grad_tol <= 0:
@@ -203,12 +204,11 @@ def _strong_wolfe(
     f0: float,
     g0: np.ndarray,
     direction: np.ndarray,
-    c1: float,
-    c2: float,
     max_evals: int = 50,
 ) -> tuple[float, float, np.ndarray]:
     """Bracketing-and-zoom line search; returns (alpha, f, grad) at the
-    accepted point satisfying the strong Wolfe conditions."""
+    accepted point satisfying the strong Wolfe conditions with WOLFE_C1 and
+    WOLFE_C2."""
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0:
         raise NumericalError("line search requires a descent direction")
@@ -221,10 +221,10 @@ def _strong_wolfe(
         for _ in range(max_evals - evals):
             a = _quadratic_interp(a_lo, f_lo, d_lo, a_hi, f_hi)
             f, g, dphi = phi(a)
-            if f > f0 + c1 * a * dphi0 or f >= f_lo:
+            if f > f0 + WOLFE_C1 * a * dphi0 or f >= f_lo:
                 a_hi, f_hi = a, f
             else:
-                if abs(dphi) <= -c2 * dphi0:
+                if abs(dphi) <= -WOLFE_C2 * dphi0:
                     return a, f, g
                 if dphi * (a_hi - a_lo) >= 0:
                     a_hi, f_hi = a_lo, f_lo
@@ -241,9 +241,9 @@ def _strong_wolfe(
         if not np.isfinite(f):
             a = 0.5 * (a_prev + a)
             continue
-        if f > f0 + c1 * a * dphi0 or (f >= f_prev and i > 0):
+        if f > f0 + WOLFE_C1 * a * dphi0 or (f >= f_prev and i > 0):
             return zoom(a_prev, f_prev, d_prev, a, f, i + 1)
-        if abs(dphi) <= -c2 * dphi0:
+        if abs(dphi) <= -WOLFE_C2 * dphi0:
             return a, f, g
         if dphi >= 0:
             return zoom(a, f, dphi, a_prev, f_prev, i + 1)
@@ -299,9 +299,7 @@ def lbfgs_minimize(
         if g @ direction >= 0:
             direction = -g  # restart on a non-descent direction
 
-        alpha, f_new, g_new = _strong_wolfe(
-            counted, x, f, g, direction, cfg.wolfe_c1, cfg.wolfe_c2
-        )
+        alpha, f_new, g_new = _strong_wolfe(counted, x, f, g, direction)
         if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
             raise NumericalError(f"non-finite objective or gradient at iteration {iterations + 1}")
         x_new = x + alpha * direction
@@ -339,8 +337,8 @@ def train(
         raise ValueError(f"dataset width {train_set.d} does not match spec {spec}")
     if norm is None:
         norm = fit_normalization(train_set)
-    xs = (train_set.features - norm.center) / norm.scale
-    ys = (train_set.targets - norm.target_center) / norm.target_scale
+    normalized = apply_normalization(train_set, norm)
+    xs, ys = normalized.features, normalized.targets
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         return loss_and_gradient(theta, xs, ys)
@@ -363,8 +361,7 @@ def predict(m: MlpModel, ds: Dataset) -> np.ndarray:
     """Predicts raw-unit targets from raw features."""
     if ds.d != m.w1.shape[1]:
         raise ValueError(f"dataset width {ds.d} does not match model input {m.w1.shape[1]}")
-    xs = (ds.features - m.norm.center) / m.norm.scale
-    z = forward_batch(m, xs)
+    z = forward_batch(m, apply_normalization(ds, m.norm).features)
     return z * m.norm.target_scale + m.norm.target_center
 
 

@@ -192,6 +192,21 @@ class TestPipeline:
         assert a["metrics_test"] != b["metrics_test"]
 
 
+class TestPathOverrides:
+    def test_input_flag_replaces_the_config_input(self, blob_csv, tmp_path):
+        cfg = write_config(tmp_path, "c.json", pipeline_config(tmp_path / "absent.csv", tmp_path))
+        assert main(["cluster", str(cfg)]) == EXIT_DATA
+        assert main(["cluster", str(cfg), "--input", str(blob_csv)]) == EXIT_OK
+        assert read_report(tmp_path)["body"]["k"] == 3
+
+    def test_output_flag_replaces_the_config_output(self, blob_csv, tmp_path):
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path))
+        flagged = tmp_path / "flagged.json"
+        assert main(["cluster", str(cfg), "--output", str(flagged)]) == EXIT_OK
+        assert not (tmp_path / "report.json").exists()
+        assert json.loads(flagged.read_text())["body"]["k"] == 3
+
+
 class TestSweep:
     def test_rows_sorted_and_best(self, blob_csv, tmp_path):
         doc = pipeline_config(blob_csv, tmp_path, widths=[5, 1, 3])
@@ -517,6 +532,31 @@ class TestConfigValidation:
         path.write_bytes(b'{"schema_version": 1, "input": "caf\xe9.csv"}')
         assert main(["pipeline", str(path)]) == EXIT_CONFIG
         assert f"config error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark(self, blob_csv, tmp_path):
+        doc = pipeline_config(blob_csv, tmp_path)
+        plain = write_config(tmp_path, "plain.json", doc)
+        marked = tmp_path / "marked.json"
+        marked.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+        reports = []
+        for cfg in (plain, marked):
+            assert main(["cluster", str(cfg)]) == EXIT_OK
+            reports.append(read_report(tmp_path))
+        assert reports[1]["body"] == reports[0]["body"]
+        assert reports[1]["header"]["config_digest"] == reports[0]["header"]["config_digest"]
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("train", "wolfe_c1"), ("xmeans", "kmeans_tol"), ("train", "wolfe_c2"), ("xmeans", "kmeans_max_iter")],
+    )
+    def test_removed_knob_is_an_unknown_key(self, blob_csv, tmp_path, capsys, section, key):
+        # Lloyd's limits and the Wolfe constants are fixed in the code; even
+        # the value they are fixed at is refused.
+        doc = pipeline_config(blob_csv, tmp_path)
+        doc[section][key] = {"wolfe_c1": 1e-4, "wolfe_c2": 0.9, "kmeans_tol": 1e-6, "kmeans_max_iter": 300}[key]
+        assert main(["pipeline", str(write_config(tmp_path, "c.json", doc))]) == EXIT_CONFIG
+        assert f"config error: {section}: unknown keys [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",

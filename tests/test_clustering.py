@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -544,6 +545,22 @@ class TestBic:
 
 
 class TestXmeans:
+    def test_splits_run_lloyd_with_the_kmeans_defaults(self, monkeypatch):
+        # The 2-means of every split stops where kmeans() stops by default.
+        seen = []
+        split = clustering._split_candidates
+
+        def recording(members, parent, rng, max_iter, tol, **kw):
+            seen.append((max_iter, tol))
+            return split(members, parent, rng, max_iter, tol, **kw)
+
+        monkeypatch.setattr(clustering, "_split_candidates", recording)
+        ds = synth_blobs(4, 30, 2, 30.0, 1.0, seed=3)
+        assert xmeans(ds.features, XMeansConfig(kmin=1, kmax=8, seed=0)).k == 4
+        assert seen and set(seen) == {(300, 1e-6)}
+        defaults = inspect.signature(kmeans).parameters
+        assert (defaults["max_iter"].default, defaults["tol"].default) == (300, 1e-6)
+
     def test_collapsed_search_space(self):
         ds = synth_blobs(5, 20, 2, 20.0, 1.0, seed=0)
         r = xmeans(ds.features, XMeansConfig(kmin=3, kmax=3, seed=0))
@@ -1099,6 +1116,65 @@ class TestSettle:
         with np.errstate(all="ignore"):
             for eps in (5e-324, 1e-170, 1e-160, 1e-155, 1e-3, 1.0, 1e140, 1e150, 1.3e154):
                 assert np.array_equal(clustering._within_eps(pts, pts, eps), seed_within_eps(pts, pts, eps))
+
+
+def scalar_column_sum(columns, x, js, start=None):
+    """The squared distances of clustering._column_sum, one Python float at
+    a time: (columns[j][i] - x[r, j]) squared by a product, the terms added
+    left to right after start[r, i], if given."""
+    out = np.empty((x.shape[0], columns.shape[1]))
+    for r in range(x.shape[0]):
+        for i in range(columns.shape[1]):
+            s = None if start is None else float(start[r, i])
+            for j in js:
+                t = float(columns[j][i]) - float(x[r, j])
+                s = t * t if s is None else s + t * t
+            out[r, i] = s
+    return out
+
+
+def column_sum_operands(d, rng):
+    """(d, 7) columns and (5, d) rows whose coordinates span many scales, so
+    a different summation order would round differently."""
+    columns = rng.normal(size=(d, 7)) * 10.0 ** rng.uniform(-4, 4, size=(d, 1))
+    x = rng.normal(size=(5, d)) * 10.0 ** rng.uniform(-4, 4, size=(1, d))
+    return columns, x
+
+
+class TestColumnSum:
+    """clustering._column_sum, the left-to-right coordinate loop that DBSCAN's
+    pair test and MeanShift's distance blocks both run."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
+    def test_left_to_right_sum(self, d):
+        columns, x = column_sum_operands(d, np.random.default_rng(d))
+        acc, scratch = np.empty((5, 7)), np.empty((5, 7))
+        got = clustering._column_sum(columns, x, range(d), acc, scratch)
+        assert got is acc
+        assert np.array_equal(got, scalar_column_sum(columns, x, range(d)))
+
+    def test_strided_coordinates(self):
+        # pair() in _sq_dists sums every eighth coordinate from an offset.
+        columns, x = column_sum_operands(27, np.random.default_rng(27))
+        js = range(3, 24, 8)
+        got = clustering._column_sum(columns, x, js, np.empty((5, 7)), np.empty((5, 7)))
+        assert np.array_equal(got, scalar_column_sum(columns, x, js))
+
+    def test_onto_adds_after_the_accumulator(self):
+        columns, x = column_sum_operands(13, np.random.default_rng(5))
+        start = np.random.default_rng(6).normal(size=(5, 7)) * 1e3
+        acc = start.copy()
+        got = clustering._column_sum(columns, x, range(8, 13), acc, np.empty((5, 7)), onto=True)
+        assert got is acc
+        assert np.array_equal(got, scalar_column_sum(columns, x, range(8, 13), start))
+
+    def test_onto_with_no_coordinates_keeps_the_accumulator(self):
+        # _sq_dists' tail when m is a multiple of 8.
+        columns, x = column_sum_operands(8, np.random.default_rng(8))
+        start = np.arange(35.0).reshape(5, 7)
+        acc = start.copy()
+        clustering._column_sum(columns, x, range(8, 8), acc, np.empty((5, 7)), onto=True)
+        assert np.array_equal(acc, start)
 
 
 class TestResultInvariants:

@@ -102,6 +102,25 @@ class TestLoadCsv:
         assert ds.row_ids == ("gal1", "gal2")
         assert ds.d == 1
 
+    @pytest.mark.parametrize("text", ["\ufeffz,a\n1,2\n", "\ufeffa,z\n2,1\n"], ids=["target-first", "feature-first"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, text):
+        # Spreadsheet "CSV UTF-8" exports begin with U+FEFF; both body
+        # parsers see the header without it.
+        p = tmp_path / "bom.csv"
+        p.write_text(text, encoding="utf-8")
+        took_numpy, outcome, rows_outcome = numpy_and_row_reader(monkeypatch, p, None)
+        assert took_numpy and outcome == rows_outcome
+        ds = load_csv(p, target_column="z")
+        assert ds.feature_names == ("a",)
+        assert ds.features.tolist() == [[2.0]] and ds.targets.tolist() == [1.0]
+
+    def test_byte_order_mark_before_the_id_column(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeffid,a,z\ngal1,2,1\n", encoding="utf-8")
+        ds = load_csv(p, target_column="z", id_column="id")
+        assert ds.row_ids == ("gal1",) and ds.feature_names == ("a",)
+        assert ds.features.tolist() == [[2.0]] and ds.targets.tolist() == [1.0]
+
 
 def load_outcome(path, id_column):
     try:

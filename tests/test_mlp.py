@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cluster_mlp import mlp
-from cluster_mlp.dataset import Dataset, NormalizationParams, fit_normalization
+from cluster_mlp.dataset import Dataset, NormalizationParams, apply_normalization, fit_normalization
 from cluster_mlp.mlp import (
     MlpModel,
     NetworkSpec,
@@ -285,6 +285,56 @@ class TestLbfgs:
         with pytest.raises(NumericalError, match="iteration 0"):
             lbfgs_minimize(bad, np.ones(2), TrainConfig())
 
+    def test_non_finite_gradient_from_the_line_search(self):
+        calls = []
+
+        def f(x):
+            # finite at the start, a NaN gradient at every trial point
+            calls.append(x)
+            return 0.5 * float(x @ x), x if len(calls) == 1 else np.full_like(x, np.nan)
+
+        with pytest.raises(NumericalError, match="at iteration 1"):
+            lbfgs_minimize(f, np.array([1.0, -2.0]), TrainConfig())
+
+
+def logged(objective):
+    """objective, plus the list of the points it was called at."""
+    points = []
+
+    def f(x):
+        points.append(float(x[0]))
+        return objective(x)
+
+    return f, points
+
+
+class TestStrongWolfe:
+    def test_zoom_interval_collapses_onto_the_start(self):
+        # The gradient claims descent while the values rise, so every trial
+        # lands at an eighth of the interval and replaces its upper end. The
+        # interval collapses after 18 trials, far inside the budget, and the
+        # search returns its lower end, the start.
+        f, points = logged(lambda x: (1.0 + 3.0 * float(x[0]), np.array([-1.0])))
+        alpha, value, grad = mlp._strong_wolfe(f, np.zeros(1), 1.0, np.array([-1.0]), np.ones(1))
+        assert (alpha, value, grad.tolist()) == (0.0, 1.0, [-1.0])
+        assert len(points) == 20 and points[-1] == 0.0
+
+    def test_non_finite_trial_point_backtracks(self):
+        # NaN below 0.5: the first trial, at 0, halves the step to 1.0,
+        # which meets both Wolfe conditions.
+        f, points = logged(lambda x: (0.5 * float(x @ x) if x[0] >= 0.5 else math.nan, x.copy()))
+        alpha, value, grad = mlp._strong_wolfe(f, np.array([2.0]), 2.0, np.array([2.0]), np.array([-2.0]))
+        assert (alpha, value, grad.tolist()) == (0.5, 0.5, [1.0])
+        assert points == [0.0, 1.0]
+
+    def test_linear_objective_exhausts_the_budget(self):
+        # The slope never shrinks, so no step meets the curvature condition;
+        # after 50 doublings the last finite trial point is evaluated again.
+        f, points = logged(lambda x: (-float(x[0]), np.array([-1.0])))
+        alpha, value, grad = mlp._strong_wolfe(f, np.zeros(1), 0.0, np.array([-1.0]), np.ones(1))
+        assert (alpha, value, grad.tolist()) == (2.0**49, -(2.0**49), [-1.0])
+        assert points == [2.0**i for i in range(50)] + [2.0**49]
+
 
 class TestTrain:
     def test_linear_targets(self):
@@ -427,6 +477,19 @@ class TestPredict:
         ds = make_ds([[1.0, 2.0]], [0.0])
         with pytest.raises(ValueError):
             predict(m, ds)
+
+    def test_z_scores_as_the_dataset_does(self):
+        # The features go through the dataset's own z-score, bit for bit,
+        # and the output is mapped back to target units.
+        rng = np.random.default_rng(3)
+        ds = make_ds(rng.normal(size=(6, 2)) * [3.0, 0.01] + [5.0, -2.0], rng.normal(size=6))
+        norm = NormalizationParams(
+            center=np.array([5.1, -1.9]), scale=np.array([2.9, 0.011]), target_center=0.3, target_scale=1.7
+        )
+        m = unflatten(flatten(init_model(NetworkSpec(2, 3), seed=0)), NetworkSpec(2, 3), norm)
+        xs = apply_normalization(ds, norm).features
+        assert np.array_equal(xs, (ds.features - norm.center) / norm.scale)
+        assert np.array_equal(predict(m, ds), mlp.forward_batch(m, xs) * 1.7 + 0.3)
 
 
 class TestSerialization:
