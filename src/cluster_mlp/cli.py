@@ -305,6 +305,7 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
         "objective_calls": trained.objective_calls,
         "grad_inf_norm": trained.grad_inf_norm,
         "restart_losses": list(trained.restart_losses),
+        "threads": trained.threads,
         "clustering": report.clustering_diagnostics,
     }
     _write_report(files.output, body, _header(config_doc, timings) | {"diagnostics": diagnostics})

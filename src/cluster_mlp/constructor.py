@@ -7,13 +7,11 @@ kmin stability study for X-means.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from . import clustering, metrics, mlp
+from . import clustering, cpus, metrics, mlp
 from .clustering import (
     Algorithm,
     ClusteringError,
@@ -175,12 +173,14 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
     only), cluster to pick the architecture, train, evaluate. The report
     carries the trained model."""
     train_raw, test_raw, norm = prepare(ds, cfg.split, cfg.cleaning)
-    spec, clustered, clustering_seconds = timed_clustering(apply_normalization(train_raw, norm), cfg)
+    train_norm = apply_normalization(train_raw, norm)
+    spec, clustered, clustering_seconds = timed_clustering(train_norm, cfg)
 
     start = time.perf_counter()
     with _stage("training"):
-        model, train_report = mlp.train(spec, train_raw, cfg.train_cfg, norm=norm)
+        model, train_report = mlp.train(spec, train_norm, cfg.train_cfg, norm)
     training_seconds = time.perf_counter() - start
+    del train_norm  # the metrics below peak the run's memory; they take raw parts
 
     # reported-only validation cut carved from the training portion
     val_part = None
@@ -222,7 +222,7 @@ def sweep_hidden(
     split; the best width minimizes test RMS (ties go to the smaller network).
 
     The widths are independent, so they train concurrently, widest first, on
-    one thread per usable CPU at most (the caller is one of them). No
+    one thread per CPU of the budget at most (the caller is one of them). No
     arithmetic is shared between them, so each entry equals that of a serial
     loop bit for bit. Entries come in sorted width order. When widths fail,
     the others still run, and the PipelineError of the smallest failing width
@@ -231,12 +231,13 @@ def sweep_hidden(
         raise ValueError("widths must be non-empty")
     start = time.perf_counter()
     train_raw, test_raw, norm = prepare(ds, split, cleaning)
+    train_norm = apply_normalization(train_raw, norm)
 
     def sweep_entry(w: int) -> SweepEntry:
-        spec = NetworkSpec(input_width=train_raw.d, hidden_width=w)
+        spec = NetworkSpec(input_width=train_norm.d, hidden_width=w)
         start = time.perf_counter()
         with _stage("training"):
-            model, trained = mlp.train(spec, train_raw, train_cfg, norm=norm)
+            model, trained = mlp.train(spec, train_norm, train_cfg, norm)
         training_seconds = time.perf_counter() - start
         with _stage("metrics"):
             pred = mlp.predict(model, test_raw)
@@ -250,56 +251,9 @@ def sweep_hidden(
             training=trained,
         )
 
-    entries, threads = _map_widest_first(sweep_entry, sorted(widths))
+    entries, threads = cpus.map_widest_first(sweep_entry, sorted(widths))
     best = min(entries, key=lambda e: (e.rms_test, e.hidden_width))
     return SweepReport(tuple(entries), best.hidden_width, threads, time.perf_counter() - start)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _map_widest_first(fn, widths: list[int]) -> tuple[list, int]:
-    """([fn(w) for w in widths], thread count) for sorted widths. The calls
-    run last (widest) first on min(len(widths), usable CPUs) threads, the
-    caller one of them; each thread takes the next width from a shared
-    queue. Every call runs, then the exception of the first failing width
-    is raised. An exception escaping the caller's own share (an interrupt)
-    stops the helpers from taking new widths; they are joined before it
-    propagates."""
-    results = [None] * len(widths)
-    failures = {}
-    pending = iter(range(len(widths) - 1, -1, -1))
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def work():
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(widths[i])
-            except Exception as e:
-                failures[i] = e
-
-    threads = min(len(widths), _usable_cpus())
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        stop.set()  # a no-op once work() returned: nothing is left to take
-        for t in helpers:
-            t.join()
-    if failures:
-        raise failures[min(failures)]
-    return results, threads
 
 
 def kmin_stability(ds: Dataset, kmins: list[int], cfg: PipelineConfig) -> list[StabilityRow]:

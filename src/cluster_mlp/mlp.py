@@ -10,6 +10,7 @@ accepts raw features and returns raw-unit targets.
 from __future__ import annotations
 
 import json
+import threading
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, NormalizationParams, apply_normalization, fit_normalization, require_field_types
+from . import cpus
+from .dataset import Dataset, NormalizationParams, apply_normalization, require_field_types
 
 MODEL_FORMAT_VERSION = 1
 
@@ -25,6 +27,15 @@ MODEL_FORMAT_VERSION = 1
 # and curvature (c2).
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+
+# A training splits its objective's rows between two threads when n * k
+# reaches this and its CPU budget holds two threads. Each evaluation then
+# pays five thread handoffs. Measured with one BLAS thread at d = 10, the
+# split objective was slower at 8,400 x 10, 30,000 x 5 and 10,000 x 16
+# (n * k 84,000-160,000), even or faster at n * k = 200,000 (20,000 x 10,
+# 25,000 x 8, 40,000 x 5, 100,000 x 2), and 17-40 % faster from 280,000
+# on (52,117 x 8: -31 %).
+SPLIT_MIN_WORK = 200_000
 
 
 class NumericalError(Exception):
@@ -97,6 +108,7 @@ class TrainReport:
     objective_calls: int  # objective evaluations, line searches included
     grad_inf_norm: float  # ||grad||_inf at the returned point
     restart_losses: tuple[float, ...]  # each restart's final loss, in restart order
+    threads: int = 1  # threads that evaluated the objective
 
 
 def init_model(spec: NetworkSpec, seed: int, norm: NormalizationParams | None = None) -> MlpModel:
@@ -145,8 +157,131 @@ def unflatten(theta: np.ndarray, spec: NetworkSpec, norm: NormalizationParams) -
     return MlpModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2, norm=norm)
 
 
-def loss_and_gradient(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
-    """Halved MSE and its exact analytic gradient, both in flattening order.
+class Workspace:
+    """The buffers of one training's objective, reused by every evaluation
+    and restart, split into row parts: one part, or two with a helper thread
+    that evaluates the second. Use it as a context manager; leaving it stops
+    and joins the helper.
+
+    The row-wise steps run on each part's rows: `xs @ w1.T`, the bias add,
+    tanh, `h @ w2`, the residual and its square, `/ n`, the outer product
+    with w2 and `1 - h**2`. No sum is split: each reduction runs whole on
+    one part, and the two parts run different reductions at the same time.
+    The cut is a multiple of 64 rows, where a single-threaded BLAS computes
+    a row slice of a gemm or gemv as it computes the whole product, so two
+    parts give the bits of one (tests/row_split_guard.py checks this build).
+    A multi-threaded BLAS splits the rows of a large call again among its
+    own threads, and then the two can differ in the last bits."""
+
+    def __init__(self, n: int, k: int, parts: int = 1):
+        if parts not in (1, 2):
+            raise ValueError(f"parts must be 1 or 2, got {parts!r}")
+        self.h, self.d_h = np.empty((n, k)), np.empty((n, k))
+        self.resid, self.sq = np.empty(n), np.empty(n)
+        cut = (n // 2) // 64 * 64 if parts == 2 else n
+        self.rows = (slice(0, cut), slice(cut, n))[:parts]
+        self._barrier = threading.Barrier(parts)
+        self._failure: BaseException | None = None
+        self._helper = None
+        if parts == 2:
+            self._helper = threading.Thread(target=self._serve)
+            self._helper.start()
+
+    @property
+    def parts(self) -> int:
+        return len(self.rows)
+
+    def __enter__(self) -> Workspace:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._barrier.abort()  # the helper stops at its next wait
+        if self._helper is not None:
+            self._helper.join()
+
+    def _evaluate(self, theta: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
+        """loss_and_gradient's work, on arguments it has checked."""
+        d = xs.shape[1]
+        k = self.h.shape[1]
+        w1 = theta[: k * d].reshape(k, d)
+        self._args = (xs, ys, w1, theta[k * d : k * d + k], theta[k * d + k : k * d + 2 * k], theta[-1])
+        try:
+            self._sync()  # the helper starts its part
+            self._part(0)
+            self._sync()  # ... and has ended it
+        except BaseException:
+            self._barrier.abort()
+            raise
+        return self.loss, np.concatenate([self.g_w1.ravel(), self.g_b1, self.g_w2, [self.g_b2]])
+
+    def _sync(self) -> None:
+        """Waits for the other part; one part has none to wait for. A failure
+        of the helper is raised in the caller."""
+        if self._helper is None:
+            return
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            if self._failure is not None:
+                raise self._failure from None
+            raise
+
+    def _serve(self) -> None:
+        """The helper's loop: part 1 of each evaluation, until the barrier
+        is aborted."""
+        try:
+            while True:
+                self._sync()
+                self._part(1)
+                self._sync()
+        except threading.BrokenBarrierError:
+            pass  # closed, or the caller failed
+        except BaseException as e:
+            self._failure = e
+            self._barrier.abort()
+
+    def _part(self, p: int) -> None:
+        """Part p's rows of each row-wise step, and its reductions: part 0
+        takes the loss and the b2 and w1 gradients, the last part those of
+        w2 and b1. A sync separates the steps that read the other part's
+        rows. In place, each step rounds as in the plain expressions,
+        d_h = outer(d_pred, w2) * (1 - h**2) included."""
+        xs, ys, w1, b1, w2, b2 = self._args
+        rows = self.rows[p]
+        first, last = p == 0, p == self.parts - 1
+        h, d_h, resid, sq = self.h[rows], self.d_h[rows], self.resid[rows], self.sq[rows]
+        np.matmul(xs[rows], w1.T, out=h)
+        h += b1
+        np.tanh(h, out=h)
+        np.matmul(h, w2, out=resid)
+        resid += b2
+        resid -= ys[rows]
+        np.square(resid, out=sq)
+        resid /= xs.shape[0]  # now d_pred
+        np.multiply(resid[:, None], w2, out=d_h)
+        self._sync()
+        if first:
+            self.loss = float(0.5 * np.mean(self.sq))
+            self.g_b2 = float(self.resid.sum())
+        if last:
+            self.g_w2 = self.h.T @ self.resid  # before 1 - h**2 overwrites h
+        self._sync()
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+        d_h *= h
+        self._sync()
+        if first:
+            self.g_w1 = self.d_h.T @ xs
+        if last:
+            self.g_b1 = self.d_h.sum(axis=0)
+
+
+def loss_and_gradient(
+    theta: np.ndarray, xs: np.ndarray, ys: np.ndarray, work: Workspace | None = None
+) -> tuple[float, np.ndarray]:
+    """Halved MSE and its exact analytic gradient, both in flattening order,
+    evaluated in `work` (a fresh one-part workspace when None). One and two
+    parts give the same bits with a single-threaded BLAS (see Workspace).
 
     w1, b1, w2 and b2 are read as views of theta; the hidden width k follows
     from len(theta) = k * (d + 2) + 1 with d the width of xs."""
@@ -156,33 +291,11 @@ def loss_and_gradient(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tupl
     k = (theta.size - 1) // (d + 2)
     if k < 1 or theta.shape != (k * (d + 2) + 1,) or ys.shape != (n,):
         raise ValueError(f"theta {theta.shape} and ys {ys.shape} do not fit a batch of shape {xs.shape}")
-    w1 = theta[: k * d].reshape(k, d)
-    b1 = theta[k * d : k * d + k]
-    w2 = theta[k * d + k : k * d + 2 * k]
-    # In place: one (n, k) buffer holds the pre-activation, then h, then
-    # 1 - h^2, and one (n,) buffer the residual, then d_pred. Each step
-    # rounds as in the plain expressions, d_h = outer(d_pred, w2) * (1 - h**2)
-    # included, so loss and gradient are bit-identical to them.
-    h = xs @ w1.T
-    h += b1
-    np.tanh(h, out=h)
-    resid = h @ w2
-    resid += theta[-1]
-    resid -= ys
-    loss = float(0.5 * np.mean(resid**2))
-
-    d_pred = resid
-    d_pred /= n
-    g_w2 = h.T @ d_pred
-    g_b2 = float(d_pred.sum())
-    d_h = np.outer(d_pred, w2)
-    np.multiply(h, h, out=h)
-    np.subtract(1.0, h, out=h)
-    d_h *= h
-    g_w1 = d_h.T @ xs
-    g_b1 = d_h.sum(axis=0)
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
-    return loss, grad
+    if work is None:
+        work = Workspace(n, k)
+    elif work.h.shape != (n, k):
+        raise ValueError(f"workspace of shape {work.h.shape} does not fit {n} rows and width {k}")
+    return work._evaluate(theta, xs, ys)
 
 
 def _quadratic_interp(a_lo, f_lo, g_lo, a_hi, f_hi) -> float:
@@ -326,33 +439,38 @@ def train(
     spec: NetworkSpec,
     train_set: Dataset,
     cfg: TrainConfig,
-    norm: NormalizationParams | None = None,
+    norm: NormalizationParams,
 ) -> tuple[MlpModel, TrainReport]:
-    """Trains on the given raw dataset; normalization is fit here when not
-    supplied. Runs cfg.restarts seeded initializations and keeps the model
+    """Trains on a training set z-scored with `norm`, which the model
+    carries. Runs cfg.restarts seeded initializations and keeps the model
     with the lowest final training loss (ties: lowest restart index). The
     report is the kept restart's, with iterations and objective calls summed
-    over all restarts and every restart's final loss listed."""
+    over all restarts and every restart's final loss listed.
+
+    The objective splits its rows between two threads when n * k reaches
+    SPLIT_MIN_WORK and the CPU budget (cpus.budget) holds two; with a
+    single-threaded BLAS the result is the same bit for bit."""
     if train_set.d != spec.input_width:
         raise ValueError(f"dataset width {train_set.d} does not match spec {spec}")
-    if norm is None:
-        norm = fit_normalization(train_set)
-    normalized = apply_normalization(train_set, norm)
-    xs, ys = normalized.features, normalized.targets
+    xs, ys = train_set.features, train_set.targets
+    k = spec.hidden_width
+    parts = 2 if train_set.n * k >= SPLIT_MIN_WORK and cpus.budget() >= 2 else 1
+    with Workspace(train_set.n, k, parts) as work:
 
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        return loss_and_gradient(theta, xs, ys)
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            return loss_and_gradient(theta, xs, ys, work)
 
-    runs = [
-        lbfgs_minimize(objective, flatten(init_model(spec, cfg.init_scale_seed + r)), cfg)
-        for r in range(cfg.restarts)
-    ]
+        runs = [
+            lbfgs_minimize(objective, flatten(init_model(spec, cfg.init_scale_seed + r)), cfg)
+            for r in range(cfg.restarts)
+        ]
     theta, rep = min(runs, key=lambda run: run[1].final_loss)
     totals = replace(
         rep,
         iterations=sum(r.iterations for _, r in runs),
         objective_calls=sum(r.objective_calls for _, r in runs),
         restart_losses=tuple(r.final_loss for _, r in runs),
+        threads=parts,
     )
     return unflatten(theta, spec, norm), totals
 

@@ -147,9 +147,24 @@ class TestPipeline:
             "converged": False, "iterations": 3,
         }
         assert set(diagnostics) == {
-            "converged", "iterations", "objective_calls", "grad_inf_norm", "restart_losses", "clustering",
+            "converged", "iterations", "objective_calls", "grad_inf_norm", "restart_losses", "threads",
+            "clustering",
         }
         assert "training not converged (max_iter=3)" in capsys.readouterr().out
+
+    def test_threads_reported_in_header_body_unchanged(self, blob_csv, tmp_path, monkeypatch):
+        # every training splits its objective on a budget of two CPUs; the
+        # report body and the model file do not change
+        monkeypatch.setattr(mlp, "SPLIT_MIN_WORK", 1)
+        reports = []
+        for threads in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+            doc = pipeline_config(blob_csv, tmp_path, model_output=str(tmp_path / f"model{threads}.json"))
+            assert main(["pipeline", str(write_config(tmp_path, "p.json", doc))]) == EXIT_OK
+            reports.append(read_report(tmp_path))
+        assert [r["header"]["diagnostics"]["threads"] for r in reports] == [1, 2]
+        assert reports[0]["body"] == reports[1]["body"]
+        assert (tmp_path / "model1.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
 
     def test_objective_calls_reported_in_header(self, blob_csv, tmp_path, monkeypatch):
         calls = []

@@ -300,8 +300,9 @@ class TestSweep:
         train_cfg = TrainConfig(max_iter=5, restarts=2)
         rep = sweep_hidden(ds, [1, 3], SplitSpec(0.7, 0), train_cfg)
         train_raw, _, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
+        train_norm = apply_normalization(train_raw, norm)
         for e in rep.entries:
-            _, trained = mlp.train(NetworkSpec(2, e.hidden_width), train_raw, train_cfg, norm=norm)
+            _, trained = mlp.train(NetworkSpec(2, e.hidden_width), train_norm, train_cfg, norm)
             assert e.training == trained
             assert (trained.iterations, trained.converged) == (10, False)
 
@@ -423,6 +424,31 @@ class TestSweep:
         assert sorted(tried) == [1, 2, 3, 4, 5, 6]
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize(
+        "cpus, widths, split", [(2, [1, 2, 3, 4], False), (4, [1, 2], True), (2, [3], True)]
+    )
+    def test_widths_split_their_objective_only_within_the_cpus(self, monkeypatch, cpus, widths, split):
+        # every training would split its objective on a budget of two; a
+        # width gets cpus // threads, so 2 CPUs never carry 4 busy threads
+        monkeypatch.setattr(mlp, "SPLIT_MIN_WORK", 1)
+        report_cpus(monkeypatch, cpus)
+        started = threading.Thread.start
+        helpers = []
+
+        def counted_start(thread):
+            helpers.append(thread)
+            started(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        ds = synth_blobs(2, 100, 2, 20.0, 1.0, seed=0)
+        threads = threading.active_count()
+        rep = sweep_hidden(ds, widths, SplitSpec(0.7, 0), FAST_TRAIN)
+        assert rep.threads == min(cpus, len(widths))
+        assert [e.training.threads for e in rep.entries] == [2 if split else 1] * len(widths)
+        assert len(helpers) == rep.threads - 1 + (len(widths) if split else 0)
+        assert [entry_bits(e) for e in rep.entries] == serial_sweep(ds, widths, FAST_TRAIN)
+        assert threading.active_count() == threads
+
     def test_interrupt_stops_helpers_and_joins_them(self, monkeypatch):
         report_cpus(monkeypatch, 2)
         caller = threading.get_ident()
@@ -462,9 +488,10 @@ def entry_bits(e) -> tuple:
 def serial_sweep(ds: Dataset, widths: list[int], train_cfg: TrainConfig) -> list[tuple]:
     """The sweep's entries as one plain loop over the widths computes them."""
     train_raw, test_raw, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
+    train_norm = apply_normalization(train_raw, norm)
     rows = []
     for w in widths:
-        model, trained = mlp.train(NetworkSpec(train_raw.d, w), train_raw, train_cfg, norm=norm)
+        model, trained = mlp.train(NetworkSpec(train_raw.d, w), train_norm, train_cfg, norm)
         pred = mlp.predict(model, test_raw)
         rms = metrics.rms(pred, test_raw.targets)
         corr = metrics.correlation(pred, test_raw.targets)

@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,10 @@ from cluster_mlp.mlp import (
     unflatten,
 )
 
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+ROW_SPLIT_GUARD = TESTS / "row_split_guard.py"
+
 IDENTITY_NORM = NormalizationParams(
     center=np.zeros(2), scale=np.ones(2), target_center=0.0, target_scale=1.0
 )
@@ -43,10 +53,10 @@ def identity_norm(d):
     )
 
 
-def plain_loss_and_gradient(theta, xs, ys):
+def plain_loss_and_gradient(theta, xs, ys, work=None):
     """The objective as plain out-of-place expressions on the layers that
     unflatten copies out of theta: the reference that loss_and_gradient must
-    match bit for bit."""
+    match bit for bit, in any workspace (`work` is ignored)."""
     n, d = xs.shape
     m = unflatten(theta, NetworkSpec(d, (theta.size - 1) // (d + 2)), identity_norm(d))
     h = np.tanh(xs @ m.w1.T + m.b1)
@@ -60,6 +70,13 @@ def plain_loss_and_gradient(theta, xs, ys):
     g_w1 = d_h.T @ xs
     g_b1 = d_h.sum(axis=0)
     return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
+
+
+def train_on(spec, ds, cfg):
+    """mlp.train on ds z-scored with its own normalization, as the pipeline
+    trains on its training split."""
+    norm = fit_normalization(ds)
+    return train(spec, apply_normalization(ds, norm), cfg, norm)
 
 
 def finite_difference_grad(theta, xs, ys, h=1e-6):
@@ -188,6 +205,36 @@ class TestLossAndGradient:
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
         assert all(np.array_equal(a, b) for a, b in zip((theta, xs, ys), before))
+
+
+class TestSplitObjective:
+    def test_row_split_guard_at_one_blas_thread(self):
+        # in a fresh process: BLAS reads its thread count when numpy loads
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, str(ROW_SPLIT_GUARD)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "0 of 160 grid shapes differ" in proc.stdout
+        assert "0 of 204 draws differ" in proc.stdout
+
+    def test_two_parts_equal_one_part_at_small_shapes(self):
+        # below the sizes where a multi-threaded BLAS splits a call itself
+        rng = np.random.default_rng(34)
+        for n, d, k in [(1, 1, 1), (5, 3, 2), (63, 2, 4), (64, 1, 1), (129, 4, 3), (300, 3, 5), (1000, 2, 1)]:
+            xs, ys = rng.normal(size=(n, d)), rng.normal(size=n)
+            with mlp.Workspace(n, k, 2) as work:
+                for _ in range(2):  # a reused workspace too
+                    theta = rng.normal(size=k * (d + 2) + 1)
+                    one_loss, one_grad = loss_and_gradient(theta, xs, ys)
+                    two_loss, two_grad = loss_and_gradient(theta, xs, ys, work)
+                    assert one_loss == two_loss, (n, d, k)
+                    assert np.array_equal(one_grad, two_grad), (n, d, k)
+
+    def test_workspace_must_fit_the_batch(self):
+        xs, ys = np.zeros((10, 2)), np.zeros(10)
+        with pytest.raises(ValueError, match="workspace"):
+            loss_and_gradient(np.zeros(3 * 4 + 1), xs, ys, mlp.Workspace(10, 2))
+        with pytest.raises(ValueError, match="parts"):
+            mlp.Workspace(10, 3, parts=3)
 
 
 class TestFlatten:
@@ -342,7 +389,7 @@ class TestTrain:
         xs = rng.normal(size=(200, 3))
         w = np.array([1.0, -2.0, 0.5])
         ds = make_ds(xs, xs @ w + 0.3)
-        model, report = train(NetworkSpec(3, 4), ds, TrainConfig(max_iter=300))
+        model, report = train_on(NetworkSpec(3, 4), ds, TrainConfig(max_iter=300))
         pred = predict(model, ds)
         resid = pred - ds.targets
         norm_rms_train = np.sqrt(np.mean(resid**2)) / ds.targets.std()
@@ -350,7 +397,7 @@ class TestTrain:
 
     def test_single_sample_interpolation(self):
         ds = make_ds([[0.5, -0.5]], [2.0])
-        model, report = train(
+        model, report = train_on(
             NetworkSpec(2, 2), ds, TrainConfig(max_iter=200, grad_tol=1e-12)
         )
         assert report.final_loss < 1e-10
@@ -360,8 +407,8 @@ class TestTrain:
         rng = np.random.default_rng(5)
         ds = make_ds(rng.normal(size=(30, 2)), rng.normal(size=30))
         cfg = TrainConfig(max_iter=50, init_scale_seed=3)
-        m1, _ = train(NetworkSpec(2, 3), ds, cfg)
-        m2, _ = train(NetworkSpec(2, 3), ds, cfg)
+        m1, _ = train_on(NetworkSpec(2, 3), ds, cfg)
+        m2, _ = train_on(NetworkSpec(2, 3), ds, cfg)
         assert np.array_equal(m1.w1, m2.w1)
         assert np.array_equal(m1.w2, m2.w2)
         assert m1.b2 == m2.b2
@@ -370,9 +417,9 @@ class TestTrain:
         rng = np.random.default_rng(11)
         ds = make_ds(rng.normal(size=(120, 3)), rng.normal(size=120))
         cfg = TrainConfig(max_iter=60, restarts=2)
-        model, report = train(NetworkSpec(3, 5), ds, cfg)
+        model, report = train_on(NetworkSpec(3, 5), ds, cfg)
         monkeypatch.setattr(mlp, "loss_and_gradient", plain_loss_and_gradient)
-        ref_model, ref_report = train(NetworkSpec(3, 5), ds, cfg)
+        ref_model, ref_report = train_on(NetworkSpec(3, 5), ds, cfg)
         assert np.array_equal(flatten(model), flatten(ref_model))
         assert report.final_loss == ref_report.final_loss
         assert report.iterations == ref_report.iterations
@@ -388,7 +435,7 @@ class TestTrain:
             return unflatten(*args)
 
         monkeypatch.setattr(mlp, "unflatten", counting_unflatten)
-        train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=20, restarts=2))
+        train_on(NetworkSpec(2, 3), ds, TrainConfig(max_iter=20, restarts=2))
         assert len(calls) == 1
 
     def test_spec_width_mismatch(self):
@@ -396,7 +443,7 @@ class TestTrain:
         rng = np.random.default_rng(13)
         ds = make_ds(rng.normal(size=(10, 6)), rng.normal(size=10))
         with pytest.raises(ValueError, match="does not match"):
-            train(NetworkSpec(2, 4), ds, TrainConfig(max_iter=5))
+            train_on(NetworkSpec(2, 4), ds, TrainConfig(max_iter=5))
 
     def test_report_counts_objective_calls(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -404,12 +451,12 @@ class TestTrain:
         calls = []
         real = mlp.loss_and_gradient
 
-        def counting(theta, xs, ys):
+        def counting(*args):
             calls.append(1)
-            return real(theta, xs, ys)
+            return real(*args)
 
         monkeypatch.setattr(mlp, "loss_and_gradient", counting)
-        model, report = train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=7, restarts=3))
+        model, report = train_on(NetworkSpec(2, 3), ds, TrainConfig(max_iter=7, restarts=3))
         # summed over the restarts, line-search evaluations included
         assert report.objective_calls == len(calls) > 3 * 7
         # the kept restart's gradient at the returned weights
@@ -423,12 +470,12 @@ class TestTrain:
     def test_report_lists_restart_losses(self):
         rng = np.random.default_rng(15)
         ds = make_ds(rng.normal(size=(40, 2)), rng.normal(size=40))
-        _, report = train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=10, restarts=3))
+        _, report = train_on(NetworkSpec(2, 3), ds, TrainConfig(max_iter=10, restarts=3))
         assert len(report.restart_losses) == 3
         assert min(report.restart_losses) == report.final_loss
         # each restart alone gives its own entry
         for r, loss in enumerate(report.restart_losses):
-            _, single = train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=10, init_scale_seed=r))
+            _, single = train_on(NetworkSpec(2, 3), ds, TrainConfig(max_iter=10, init_scale_seed=r))
             assert single.restart_losses == (loss,) == (single.final_loss,)
 
     def test_restarts_pick_lowest_loss(self):
@@ -436,8 +483,8 @@ class TestTrain:
         ds = make_ds(rng.normal(size=(40, 2)), rng.normal(size=40))
         base_cfg = TrainConfig(max_iter=40, init_scale_seed=0)
         multi_cfg = TrainConfig(max_iter=40, init_scale_seed=0, restarts=3)
-        _, single = train(NetworkSpec(2, 4), ds, base_cfg)
-        _, multi = train(NetworkSpec(2, 4), ds, multi_cfg)
+        _, single = train_on(NetworkSpec(2, 4), ds, base_cfg)
+        _, multi = train_on(NetworkSpec(2, 4), ds, multi_cfg)
         assert multi.final_loss <= single.final_loss + 1e-12
 
     def test_loss_never_worse_than_initial(self):
@@ -450,8 +497,91 @@ class TestTrain:
         ys = (ds.targets - norm.target_center) / norm.target_scale
         m0 = init_model(NetworkSpec(3, 4), seed=0, norm=norm)
         loss0, _ = loss_and_gradient(flatten(m0), xs, ys)
-        _, report = train(NetworkSpec(3, 4), ds, TrainConfig(max_iter=30, init_scale_seed=0))
+        _, report = train_on(NetworkSpec(3, 4), ds, TrainConfig(max_iter=30, init_scale_seed=0))
         assert report.final_loss <= loss0
+
+
+class TestTrainThreads:
+    """Trainings whose objective splits its rows: the split threshold is
+    lowered so that a small set splits."""
+
+    @pytest.fixture
+    def split_ds(self, monkeypatch):
+        monkeypatch.setattr(mlp, "SPLIT_MIN_WORK", 1)
+        rng = np.random.default_rng(16)
+        return make_ds(rng.normal(size=(300, 3)), rng.normal(size=300))
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_same_model_and_report_at_any_cpu_count(self, split_ds, monkeypatch, restarts):
+        # the two parts share buffers between barriers; switching threads
+        # every microsecond would expose a step that reads rows too early
+        cfg = TrainConfig(max_iter=40, restarts=restarts)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3):
+                report_cpus(monkeypatch, cpus)
+                results[cpus] = train_on(NetworkSpec(3, 5), split_ds, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.threads for _, r in results.values()] == [1, 2, 2]
+        model, report = results[1]
+        for other_model, other_report in results.values():
+            assert np.array_equal(flatten(other_model), flatten(model))
+            assert replace(other_report, threads=1) == report
+
+    def test_splits_from_the_threshold(self, monkeypatch):
+        report_cpus(monkeypatch, 2)
+        rng = np.random.default_rng(17)
+        k = 8
+        n = mlp.SPLIT_MIN_WORK // k
+        ds = make_ds(rng.normal(size=(n, 1)), rng.normal(size=n))
+        cfg = TrainConfig(max_iter=1)
+        _, at = train(NetworkSpec(1, k), ds, cfg, identity_norm(1))
+        _, below = train(NetworkSpec(1, k), ds.take(np.arange(n - 1)), cfg, identity_norm(1))
+        assert (at.threads, below.threads) == (2, 1)
+
+    def test_no_thread_outlives_a_return(self, split_ds, monkeypatch):
+        report_cpus(monkeypatch, 2)
+        started = threading.active_count()
+        _, report = train_on(NetworkSpec(3, 5), split_ds, TrainConfig(max_iter=5))
+        assert report.threads == 2
+        assert threading.active_count() == started
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # also raised on the helper thread
+    def test_no_thread_outlives_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(mlp, "SPLIT_MIN_WORK", 1)
+        report_cpus(monkeypatch, 2)
+        rng = np.random.default_rng(18)
+        ds = make_ds(rng.normal(size=(300, 2)), np.full(300, 1e200))  # the squared residual overflows
+        started = threading.active_count()
+        with pytest.raises(NumericalError, match="iteration 0"):
+            train(NetworkSpec(2, 3), ds, TrainConfig(max_iter=5), identity_norm(2))
+        assert threading.active_count() == started
+
+    @pytest.mark.parametrize(
+        "failing_part, error", [(1, RuntimeError("helper part failed")), (0, KeyboardInterrupt())]
+    )
+    def test_no_thread_outlives_a_failing_part(self, split_ds, monkeypatch, failing_part, error):
+        # part 1 runs on the helper thread and part 0 on the caller's; the
+        # failure reaches the caller either way, on the third evaluation
+        report_cpus(monkeypatch, 2)
+        part, calls = mlp.Workspace._part, []
+
+        def failing(self, p):
+            if p == failing_part:
+                calls.append(p)
+                if len(calls) == 3:
+                    raise error
+            part(self, p)
+
+        monkeypatch.setattr(mlp.Workspace, "_part", failing)
+        started = threading.active_count()
+        with pytest.raises(type(error)) as info:
+            train_on(NetworkSpec(3, 5), split_ds, TrainConfig(max_iter=5))
+        assert info.value is error
+        assert threading.active_count() == started
 
 
 class TestPredict:
@@ -496,7 +626,7 @@ class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         ds = make_ds(rng.normal(3, 2, size=(20, 3)), rng.normal(size=20))
-        model, _ = train(NetworkSpec(3, 4), ds, TrainConfig(max_iter=30))
+        model, _ = train_on(NetworkSpec(3, 4), ds, TrainConfig(max_iter=30))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -511,3 +641,8 @@ class TestSerialization:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="format version"):
             load_model(path)
+
+
+def report_cpus(monkeypatch, n: int) -> None:
+    """Makes the CPU budget see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

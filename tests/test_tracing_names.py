@@ -5,9 +5,12 @@ the old name would just read 0. These checks make such a rename fail here."""
 import importlib
 import importlib.util
 import inspect
+import os
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -52,3 +55,32 @@ def test_dataset_take_exists():
     from cluster_mlp.dataset import Dataset
 
     assert inspect.isfunction(Dataset.take)
+
+
+def test_split_objective_traced_on_the_calling_thread(tracing, monkeypatch):
+    # The tracer keeps one span stack for all threads, so a wrapped function
+    # called on the objective's helper thread would garble its counts. Every
+    # evaluation enters through mlp.loss_and_gradient on the calling thread.
+    from cluster_mlp import mlp
+    from cluster_mlp.dataset import Dataset, NormalizationParams
+
+    monkeypatch.setattr(mlp, "SPLIT_MIN_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    callers = []
+
+    class CallerTracer(tracing.Tracer):
+        def _open(self, name):
+            callers.append(threading.get_ident())
+            return super()._open(name)
+
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(300, 2)), rng.normal(size=300), ("a", "b"), tuple(map(str, range(300))))
+    norm = NormalizationParams(np.zeros(2), np.ones(2), 0.0, 1.0)
+    tracer = CallerTracer()
+    with tracer.installed(0):
+        _, report = mlp.train(mlp.NetworkSpec(2, 3), ds, mlp.TrainConfig(max_iter=10, restarts=2), norm)
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert report.threads == 2
+    assert names.count("mlp.loss_and_gradient") == report.objective_calls
+    assert set(callers) == {threading.get_ident()}
+    assert all(span[tracing.END] >= span[tracing.START] for span in tracer.spans)
