@@ -15,34 +15,39 @@ import argparse
 import datetime
 import hashlib
 import json
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
+# BLAS reads its thread count when numpy loads. One thread makes a run's
+# bits independent of the machine's CPU count; a value already set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import __version__, constructor, metrics, mlp
-from .clustering import (
+import numpy as np  # noqa: E402
+
+from . import __version__, constructor, metrics, mlp  # noqa: E402
+from .clustering import (  # noqa: E402
     Algorithm,
     ClusteringError,
     DbscanConfig,
     MeanShiftConfig,
     XMeansConfig,
 )
-from .constructor import PipelineConfig, PipelineError
-from .dataset import (
+from .constructor import PipelineConfig, PipelineError  # noqa: E402
+from .dataset import (  # noqa: E402
     CleaningPolicy,
     DataError,
     Dataset,
     SplitSpec,
     TargetFn,
-    apply_normalization,
     load_csv,
     require_field_types,
     synth_blobs,
     write_csv,
 )
-from .mlp import NumericalError, TrainConfig
+from .mlp import NumericalError, TrainConfig  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -260,8 +265,8 @@ def _load_input(files: RunFiles) -> Dataset:
 
 
 def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
-    train_raw, _, norm = constructor.prepare(_load_input(files), cfg.split, cfg.cleaning)
-    _, result, clustering_seconds = constructor.timed_clustering(apply_normalization(train_raw, norm), cfg)
+    train_norm = constructor.prepare(_load_input(files), cfg.split, cfg.cleaning)[3]
+    _, result, clustering_seconds = constructor.timed_clustering(train_norm, cfg)
 
     sizes = np.bincount(result.labels[result.labels >= 0], minlength=result.k)
     body = {
@@ -270,7 +275,7 @@ def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
         "cluster_sizes": sizes.tolist(),
         "noise_points": int(np.sum(result.labels == -1)),
         "labels": result.labels.tolist(),
-        "row_ids": list(train_raw.row_ids),
+        "row_ids": list(train_norm.row_ids),
     }
     header = _header(config_doc, {"clustering": clustering_seconds}) | {"diagnostics": result.diagnostics}
     _write_report(files.output, body, header)

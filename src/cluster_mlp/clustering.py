@@ -199,13 +199,7 @@ _LLOYD_MAX_ITER = 300
 _LLOYD_TOL = 1e-6
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int = 0,
-    max_iter: int = _LLOYD_MAX_ITER,
-    tol: float = _LLOYD_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd from distance-weighted seeding; returns (labels, centroids)."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -216,7 +210,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     points_sq = (points * points).sum(axis=1)
     init = _weighted_init(points, k, rng, points_sq)
-    labels, centroids, _ = lloyd(points, init, max_iter, tol, points_sq)
+    labels, centroids, _ = lloyd(points, init, _LLOYD_MAX_ITER, _LLOYD_TOL, points_sq)
     return labels, centroids
 
 
@@ -291,8 +285,6 @@ def _split_candidates(
     members: np.ndarray,
     parent: np.ndarray,
     rng: np.random.Generator,
-    max_iter: int,
-    tol: float,
     tries: int = 2,
     retry: bool = False,
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -331,14 +323,13 @@ def _split_candidates(
     if retry:
         inits.append(np.vstack([parent, members[sq.argmax()]]))
 
-    # Trials run a capped number of Lloyd iterations (enough to rank the
-    # seedings); only a winner that already beats the parent is refined to
-    # full convergence. Every random draw happens above, so refusing here
-    # leaves the random stream of later splits as it was.
-    trial_iters = min(max_iter, 5)
+    # Trials run 5 Lloyd iterations (enough to rank the seedings); only a
+    # winner that already beats the parent is refined to full convergence.
+    # Every random draw happens above, so refusing here leaves the random
+    # stream of later splits as it was.
     best: tuple[float, np.ndarray] | None = None
     for init in inits:
-        sub_labels, sub_centroids, _ = lloyd(members, init, trial_iters, tol, points_sq, columns)
+        sub_labels, sub_centroids, _ = lloyd(members, init, 5, _LLOYD_TOL, points_sq, columns)
         if np.bincount(sub_labels, minlength=2).min() <= d + 1:
             continue
         score = bic_score(members, sub_labels, sub_centroids)
@@ -346,7 +337,7 @@ def _split_candidates(
             best = (score, sub_centroids)
     if best is None or best[0] <= parent_bic:
         return None
-    sub_labels, sub_centroids, _ = lloyd(members, best[1], max_iter, tol, points_sq, columns)
+    sub_labels, sub_centroids, _ = lloyd(members, best[1], _LLOYD_MAX_ITER, _LLOYD_TOL, points_sq, columns)
     if np.bincount(sub_labels, minlength=2).min() <= d + 1:
         return None
     if bic_score(members, sub_labels, sub_centroids) <= parent_bic:
@@ -396,7 +387,7 @@ def xmeans(points: np.ndarray, cfg: XMeansConfig) -> ClusteringResult:
             split = None
             if is_open and total < cfg.kmax and idx.size >= 3:
                 diagnostics["split_attempts"] += 1
-                split = _split_candidates(points[idx], parent, rng, _LLOYD_MAX_ITER, _LLOYD_TOL, retry=retry)
+                split = _split_candidates(points[idx], parent, rng, retry=retry)
             if split is not None:
                 sub_labels, sub_centroids = split
                 next_clusters.append((idx[sub_labels == 0], sub_centroids[0], True, None))

@@ -142,18 +142,19 @@ def construct_architecture(
 
 def prepare(
     ds: Dataset, split: SplitSpec, cleaning: CleaningPolicy
-) -> tuple[Dataset, Dataset, NormalizationParams]:
-    """The data step shared by the pipeline, the sweep and `cluster`: drop
-    unlabeled and sentinel rows, make the holdout split, and fit the
-    normalization on the training part only. Returns the raw train and test
-    parts and that normalization."""
+) -> tuple[Dataset, Dataset, NormalizationParams, Dataset]:
+    """The data step shared by the pipeline, the sweep, the kmin study and
+    `cluster`: drop unlabeled and sentinel rows, make the holdout split, and
+    fit the normalization on the training part only. Returns the raw train
+    and test parts, that normalization and the z-scored training part."""
     with _stage("cleaning"):
         cleaned = clean_sentinels(filter_labeled(ds, cleaning), cleaning)
     with _stage("split"):
         train_raw, test_raw = holdout_split(cleaned, split)
     with _stage("normalization"):
         norm = fit_normalization(train_raw)
-    return train_raw, test_raw, norm
+        train_norm = apply_normalization(train_raw, norm)
+    return train_raw, test_raw, norm, train_norm
 
 
 def timed_clustering(
@@ -172,8 +173,7 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
     """Full method on a raw dataset: clean, split, normalize (fit on train
     only), cluster to pick the architecture, train, evaluate. The report
     carries the trained model."""
-    train_raw, test_raw, norm = prepare(ds, cfg.split, cfg.cleaning)
-    train_norm = apply_normalization(train_raw, norm)
+    train_raw, test_raw, norm, train_norm = prepare(ds, cfg.split, cfg.cleaning)
     spec, clustered, clustering_seconds = timed_clustering(train_norm, cfg)
 
     start = time.perf_counter()
@@ -230,8 +230,7 @@ def sweep_hidden(
     if not widths:
         raise ValueError("widths must be non-empty")
     start = time.perf_counter()
-    train_raw, test_raw, norm = prepare(ds, split, cleaning)
-    train_norm = apply_normalization(train_raw, norm)
+    _, test_raw, norm, train_norm = prepare(ds, split, cleaning)
 
     def sweep_entry(w: int) -> SweepEntry:
         spec = NetworkSpec(input_width=train_norm.d, hidden_width=w)
@@ -264,8 +263,7 @@ def kmin_stability(ds: Dataset, kmins: list[int], cfg: PipelineConfig) -> list[S
         raise ValueError("kmin stability requires the X-means algorithm")
     if not kmins:
         raise ValueError("kmins must be non-empty")
-    train_raw, _, norm = prepare(ds, cfg.split, cfg.cleaning)
-    train_norm = apply_normalization(train_raw, norm)
+    train_norm = prepare(ds, cfg.split, cfg.cleaning)[3]
     rows = []
     for kmin in kmins:
         xcfg = replace(cfg.xmeans, kmin=kmin, kmax=max(kmin, cfg.xmeans.kmax))

@@ -12,9 +12,8 @@ import csv
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Sequence
 
 import numpy as np
 
@@ -63,18 +62,12 @@ def require_field_types(cfg) -> None:
             object.__setattr__(cfg, f.name, value)
 
 
-class RowPolicy(enum.Enum):
-    DROP_ROW_IF_ANY_SENTINEL = "drop_row_if_any_sentinel"
-    KEEP_ROWS = "keep_rows"
-
-
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n, d)
     targets: np.ndarray  # (n,)
     feature_names: tuple[str, ...]
     row_ids: tuple[str, ...]
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
@@ -102,8 +95,7 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        """The rows at idx. The metadata describes the rows of this dataset
-        (synth_blobs' true_labels, for one), so the subset gets none."""
+        """The rows at idx."""
         idx = np.asarray(idx)
         return Dataset(
             features=self.features[idx],
@@ -116,23 +108,16 @@ class Dataset:
 @dataclass(frozen=True)
 class CleaningPolicy:
     target_missing_sentinel: float = -9.999
-    feature_sentinels: frozenset[float] = frozenset({99.0, -99.0})
-    row_policy: RowPolicy = RowPolicy.DROP_ROW_IF_ANY_SENTINEL
+    feature_sentinels: frozenset[float] = frozenset({99.0, -99.0})  # empty keeps every row
 
     def __post_init__(self):
-        # Also takes the JSON forms: a list of numbers and a policy's name.
+        # Also takes the JSON form of the sentinels: a list of numbers.
         require_field_types(self)
         sentinels = self.feature_sentinels
         if not isinstance(sentinels, (list, frozenset)):
             raise ValueError(f"feature_sentinels must be a list of numbers, got {sentinels!r}")
         sentinels = frozenset(_checked("feature_sentinels", v, "float") for v in sentinels)
         object.__setattr__(self, "feature_sentinels", sentinels)
-        try:
-            object.__setattr__(self, "row_policy", RowPolicy(self.row_policy))
-        except ValueError:
-            raise ValueError(f"unknown row_policy {self.row_policy!r}") from None
-        if self.row_policy is RowPolicy.DROP_ROW_IF_ANY_SENTINEL and not self.feature_sentinels:
-            raise ValueError("feature_sentinels must be non-empty for the dropping policy")
 
 
 @dataclass(frozen=True)
@@ -281,9 +266,9 @@ def filter_labeled(ds: Dataset, policy: CleaningPolicy) -> Dataset:
 
 
 def clean_sentinels(ds: Dataset, policy: CleaningPolicy) -> Dataset:
-    """Drops rows containing any feature sentinel (or returns ds unchanged
-    under the keep-rows policy)."""
-    if policy.row_policy is RowPolicy.KEEP_ROWS:
+    """Drops rows containing any feature sentinel; with no sentinels, returns
+    ds itself."""
+    if not policy.feature_sentinels:
         return ds
     bad = np.zeros(ds.n, dtype=bool)
     for s in policy.feature_sentinels:
@@ -337,7 +322,6 @@ def apply_normalization(ds: Dataset, p: NormalizationParams) -> Dataset:
         targets=(ds.targets - p.target_center) / p.target_scale,
         feature_names=ds.feature_names,
         row_ids=ds.row_ids,
-        metadata=dict(ds.metadata),
     )
 
 
@@ -363,8 +347,9 @@ def synth_blobs(
     target_fn: TargetFn = TargetFn.LINEAR_OF_CENTER,
     seed: int = 0,
 ) -> Dataset:
-    """Seeded Gaussian blobs with mutually separated centers; the generating
-    k, labels, and centers are recorded in the metadata for oracle tests."""
+    """Seeded Gaussian blobs with mutually separated centers. Row i belongs
+    to blob i // per_cluster; the centers are the first draws of
+    default_rng(seed), as _place_centers(k, d, separation, rng) makes them."""
     if k < 1 or per_cluster < 1 or d < 1:
         raise ValueError("k, per_cluster, d must be positive")
     if separation <= 0 or noise_std <= 0:
@@ -387,12 +372,6 @@ def synth_blobs(
         targets=targets,
         feature_names=tuple(f"f{i}" for i in range(d)),
         row_ids=tuple(str(i) for i in range(k * per_cluster)),
-        metadata={
-            "true_k": k,
-            "true_labels": labels.tolist(),
-            "true_centers": centers.tolist(),
-            "seed": seed,
-        },
     )
 
 

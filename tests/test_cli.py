@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cluster_mlp import mlp
+from cluster_mlp import cli, mlp
 from cluster_mlp.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from cluster_mlp.dataset import load_csv, synth_blobs, write_csv
 from cluster_mlp.mlp import load_model
@@ -368,6 +372,16 @@ class TestCleaningStage:
         assert "pipeline stage 'cleaning'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_no_feature_sentinels_keeps_every_labeled_row(self, blob_csv, tmp_path):
+        lines = blob_csv.read_text().splitlines()
+        lines[1] = "99," + lines[1].split(",", 1)[1]  # a feature sentinel
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",-9.999"  # an unlabeled row
+        blob_csv.write_text("\n".join(lines) + "\n")
+        doc = pipeline_config(blob_csv, tmp_path, cleaning={"feature_sentinels": []})
+        assert main(["pipeline", str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
+        body = read_report(tmp_path)["body"]
+        assert body["train_rows"] + body["test_rows"] == len(lines) - 2
+
 
 class TestMetricsStage:
     @pytest.fixture
@@ -562,13 +576,22 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("train", "wolfe_c1"), ("xmeans", "kmeans_tol"), ("train", "wolfe_c2"), ("xmeans", "kmeans_max_iter")],
+        [
+            ("train", "wolfe_c1"),
+            ("xmeans", "kmeans_tol"),
+            ("train", "wolfe_c2"),
+            ("xmeans", "kmeans_max_iter"),
+            ("cleaning", "row_policy"),
+        ],
     )
     def test_removed_knob_is_an_unknown_key(self, blob_csv, tmp_path, capsys, section, key):
-        # Lloyd's limits and the Wolfe constants are fixed in the code; even
-        # the value they are fixed at is refused.
+        # Lloyd's limits and the Wolfe constants are fixed in the code, and an
+        # empty feature_sentinels list keeps every row; even the value a
+        # removed knob took is refused.
         doc = pipeline_config(blob_csv, tmp_path)
-        doc[section][key] = {"wolfe_c1": 1e-4, "wolfe_c2": 0.9, "kmeans_tol": 1e-6, "kmeans_max_iter": 300}[key]
+        doc.setdefault(section, {})[key] = {
+            "wolfe_c1": 1e-4, "wolfe_c2": 0.9, "kmeans_tol": 1e-6, "kmeans_max_iter": 300, "row_policy": "keep_rows"
+        }[key]
         assert main(["pipeline", str(write_config(tmp_path, "c.json", doc))]) == EXIT_CONFIG
         assert f"config error: {section}: unknown keys [{key!r}]" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
@@ -749,3 +772,103 @@ def test_typed_boundary_refuses(blob_csv, tmp_path, capsys, command, section, ke
     assert main([command, str(cfg)]) == EXIT_CONFIG
     assert f"{section or 'config'}: {key} must be" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+# Every key the config parser accepts: per command, the top-level keys
+# ("config") and those of each section. A knob added or removed is a
+# one-line diff here.
+RUN_KEYS = [
+    "cleaning", "id_column", "input", "model_output", "output", "schema_version", "split",
+    "target_column", "train", "validation_fraction", "validation_seed",
+]
+SECTION_KEYS = {
+    "split": ["seed", "train_fraction"],
+    "train": ["grad_tol", "init_scale_seed", "lbfgs_memory", "max_iter", "restarts"],
+    "cleaning": ["feature_sentinels", "target_missing_sentinel"],
+}
+ALGORITHM_SECTION_KEYS = {
+    "xmeans": ["kmax", "kmin", "max_split_rounds", "seed"],
+    "dbscan": ["eps", "min_pts"],
+    "meanshift": ["bandwidth", "max_iter", "merge_radius", "shift_tol"],
+}
+ALGORITHM_KEYS = ["algorithm", "dbscan", "meanshift", "xmeans"]
+CONFIG_KEYS = {
+    "cluster": {"config": RUN_KEYS + ALGORITHM_KEYS, **SECTION_KEYS, **ALGORITHM_SECTION_KEYS},
+    "pipeline": {"config": RUN_KEYS + ALGORITHM_KEYS, **SECTION_KEYS, **ALGORITHM_SECTION_KEYS},
+    "sweep": {"config": RUN_KEYS + ["widths"], **SECTION_KEYS},
+    "stability": {"config": RUN_KEYS + ALGORITHM_KEYS + ["kmins"], **SECTION_KEYS, **ALGORITHM_SECTION_KEYS},
+    "synth": {
+        "config": ["d", "k", "noise_std", "output", "per_cluster", "schema_version", "seed", "separation", "target_fn"]
+    },
+    "evaluate": {"config": ["actual_column", "input", "outlier_threshold", "output", "pred_column", "schema_version"]},
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_config_key_inventory(blob_csv, tmp_path, monkeypatch, command):
+    # Runs a config with every section the command takes and records the
+    # keys the parser accepts in each: the section class's fields plus the
+    # keys it shares with other parsers.
+    accepted = {}
+    parse = cli._parse_section
+
+    def recording(doc, cls, where, shared=frozenset()):
+        accepted[where] = sorted({f.name for f in fields(cls)} | set(shared))
+        return parse(doc, cls, where, shared)
+
+    monkeypatch.setattr(cli, "_parse_section", recording)
+    if command == "synth":
+        doc = TestSynth().synth_doc(tmp_path)
+    elif command == "evaluate":
+        doc = evaluate_config(tmp_path)
+    else:
+        doc = pipeline_config(blob_csv, tmp_path, cleaning={})
+        if command == "sweep":
+            del doc["algorithm"], doc["xmeans"]
+            doc["widths"] = [1]
+        else:
+            doc.update(dbscan={"eps": 0.5, "min_pts": 3}, meanshift={"bandwidth": 0.5})
+        if command == "stability":
+            doc["kmins"] = [2]
+    assert main([command, str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
+    assert accepted == {where: sorted(keys) for where, keys in CONFIG_KEYS[command].items()}
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+# Imports the CLI, then prints a hash of the objective's large BLAS products
+# at the csv-pipeline shape and above, and the thread variables it sees.
+BLAS_PRODUCTS = """
+import hashlib, os
+import cluster_mlp.cli
+import numpy as np
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for n in (52_117, 100_000):
+    xs = rng.normal(size=(n, 10))
+    for k in (1, 8):
+        w1 = rng.normal(size=(k, 10))
+        h = np.tanh(xs @ w1.T)
+        for product in (xs @ w1.T, h @ rng.normal(size=k), h.T @ xs):
+            digest.update(product.tobytes())
+print(digest.hexdigest(), *(os.environ[v] for v in %r))
+""" % (BLAS_THREAD_VARS,)
+
+
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise():
+    # A multi-threaded BLAS splits a large product's rows among its threads,
+    # and the bits then depend on the machine's CPU count.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS} | {"PYTHONPATH": src}
+
+    def run(**env):
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PRODUCTS], env=base | env, capture_output=True, text=True, check=True
+        )
+        return proc.stdout.split()
+
+    unset = run()
+    user_set = run(OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="3")
+    assert unset[0] == user_set[0]
+    assert unset[1:] == ["1", "1", "1", "1"]
+    assert user_set[1:] == ["1", "1", "3", "1"]  # a value set in the environment wins

@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 import warnings
@@ -532,7 +531,7 @@ class TestBic:
                     return scores[-1][1]
 
                 monkeypatch.setattr(clustering, "_bic", recording_bic)
-                clustering._split_candidates(members, parent, rng, 300, 1e-6)
+                clustering._split_candidates(members, parent, rng)
                 monkeypatch.setattr(clustering, "_bic", real_bic)
                 k, got = scores[0]
                 assert k == 1
@@ -546,20 +545,21 @@ class TestBic:
 
 class TestXmeans:
     def test_splits_run_lloyd_with_the_kmeans_defaults(self, monkeypatch):
-        # The 2-means of every split stops where kmeans() stops by default.
+        # The 2-means of every split stops where kmeans() stops, save the
+        # 5-iteration trials that rank a split's seedings.
         seen = []
-        split = clustering._split_candidates
+        real_lloyd = clustering.lloyd
 
-        def recording(members, parent, rng, max_iter, tol, **kw):
+        def recording(points, init, max_iter, tol, *args):
             seen.append((max_iter, tol))
-            return split(members, parent, rng, max_iter, tol, **kw)
+            return real_lloyd(points, init, max_iter, tol, *args)
 
-        monkeypatch.setattr(clustering, "_split_candidates", recording)
+        monkeypatch.setattr(clustering, "lloyd", recording)
         ds = synth_blobs(4, 30, 2, 30.0, 1.0, seed=3)
         assert xmeans(ds.features, XMeansConfig(kmin=1, kmax=8, seed=0)).k == 4
-        assert seen and set(seen) == {(300, 1e-6)}
-        defaults = inspect.signature(kmeans).parameters
-        assert (defaults["max_iter"].default, defaults["tol"].default) == (300, 1e-6)
+        assert (clustering._LLOYD_MAX_ITER, clustering._LLOYD_TOL) == (300, 1e-6)
+        assert seen[0] == (300, 1e-6)  # kmeans()
+        assert set(seen) == {(300, 1e-6), (5, 1e-6)}
 
     def test_collapsed_search_space(self):
         ds = synth_blobs(5, 20, 2, 20.0, 1.0, seed=0)
@@ -605,7 +605,7 @@ class TestXmeans:
 
         monkeypatch.setattr(clustering, "lloyd", counting_lloyd)
         tries = 2
-        split = clustering._split_candidates(pts, pts.mean(axis=0), rng, 300, 1e-6, tries=tries)
+        split = clustering._split_candidates(pts, pts.mean(axis=0), rng, tries=tries)
         assert (split is not None) == accepted
         # tries random directions plus one weighted seeding, capped at 5
         # iterations; the full-length refinement only for a winning trial.
@@ -690,7 +690,7 @@ class TestXmeans:
         for retry in (False, True):
             inits.clear()
             rng = np.random.default_rng(1)
-            clustering._split_candidates(pts, parent, rng, 300, 1e-6, retry=retry)
+            clustering._split_candidates(pts, parent, rng, retry=retry)
             states.append(rng.bit_generator.state)
         assert states[0] == states[1]
         assert len(inits) == 4

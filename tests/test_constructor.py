@@ -164,7 +164,7 @@ class TestRunPipeline:
         ds = synth_blobs(3, 30, 2, 30.0, 1.0, seed=3)
         cfg = xmeans_cfg()
         report = run_pipeline(ds, cfg)
-        _, test_raw, _ = prepare(ds, cfg.split, cfg.cleaning)
+        test_raw = prepare(ds, cfg.split, cfg.cleaning)[1]
         pred = mlp.predict(report.model, test_raw)
         assert metric_block(pred, test_raw.targets) == report.metrics_test
         assert report.model.spec == report.spec
@@ -216,12 +216,17 @@ def with_sentinels(ds, rows, feature_rows):
 class TestPrepare:
     def test_cleans_splits_and_fits_on_train(self):
         ds = with_sentinels(synth_blobs(3, 30, 2, 20.0, 1.0, seed=0), [0, 5], [7])
-        train, test, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
+        train, test, norm, train_norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
         assert train.n + test.n == ds.n - 3
         assert not set(train.row_ids) & set(test.row_ids)
         assert not {"0", "5", "7"} & set(train.row_ids + test.row_ids)
         assert np.array_equal(norm.center, fit_normalization(train).center)
         assert norm.target_scale == fit_normalization(train).target_scale
+        # the fourth value is the training part z-scored with that normalization
+        want = apply_normalization(train, norm)
+        assert np.array_equal(train_norm.features, want.features)
+        assert np.array_equal(train_norm.targets, want.targets)
+        assert train_norm.row_ids == train.row_ids
 
     def test_split_failure_names_split(self):
         ds = with_sentinels(synth_blobs(1, 3, 2, 20.0, 1.0, seed=0), [0, 1], [])
@@ -299,8 +304,7 @@ class TestSweep:
         ds = synth_blobs(3, 40, 2, 20.0, 1.0, seed=1)
         train_cfg = TrainConfig(max_iter=5, restarts=2)
         rep = sweep_hidden(ds, [1, 3], SplitSpec(0.7, 0), train_cfg)
-        train_raw, _, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
-        train_norm = apply_normalization(train_raw, norm)
+        _, _, norm, train_norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
         for e in rep.entries:
             _, trained = mlp.train(NetworkSpec(2, e.hidden_width), train_norm, train_cfg, norm)
             assert e.training == trained
@@ -487,11 +491,10 @@ def entry_bits(e) -> tuple:
 
 def serial_sweep(ds: Dataset, widths: list[int], train_cfg: TrainConfig) -> list[tuple]:
     """The sweep's entries as one plain loop over the widths computes them."""
-    train_raw, test_raw, norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
-    train_norm = apply_normalization(train_raw, norm)
+    _, test_raw, norm, train_norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
     rows = []
     for w in widths:
-        model, trained = mlp.train(NetworkSpec(train_raw.d, w), train_norm, train_cfg, norm)
+        model, trained = mlp.train(NetworkSpec(train_norm.d, w), train_norm, train_cfg, norm)
         pred = mlp.predict(model, test_raw)
         rms = metrics.rms(pred, test_raw.targets)
         corr = metrics.correlation(pred, test_raw.targets)

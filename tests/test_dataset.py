@@ -14,7 +14,6 @@ from cluster_mlp.dataset import (
     DataError,
     Dataset,
     NormalizationParams,
-    RowPolicy,
     SplitSpec,
     TargetFn,
     apply_normalization,
@@ -245,10 +244,9 @@ class TestCleanSentinels:
         out = clean_sentinels(ds, CleaningPolicy())
         assert np.array_equal(out.features, ds.features)
 
-    def test_keep_rows_policy_is_noop(self):
+    def test_no_sentinels_keeps_every_row(self):
         ds = make_ds([[99.0]], [1])
-        policy = CleaningPolicy(row_policy=RowPolicy.KEEP_ROWS)
-        assert clean_sentinels(ds, policy) is ds
+        assert clean_sentinels(ds, CleaningPolicy(feature_sentinels=[])) is ds
 
     def test_all_rows_dropped_errors(self):
         ds = make_ds([[99.0], [-99.0]], [1, 2])
@@ -376,19 +374,19 @@ class TestNormalization:
 
 
 class TestSynthBlobs:
-    def test_shape_and_metadata(self):
+    def test_shape(self):
         ds = synth_blobs(3, 50, 2, 10.0, 0.5, seed=0)
         assert ds.n == 150 and ds.d == 2
-        assert ds.metadata["true_k"] == 3
 
     def test_single_blob(self):
         ds = synth_blobs(1, 30, 2, 5.0, 1.0, seed=0)
-        assert ds.n == 30
-        assert ds.metadata["true_k"] == 1
+        assert ds.n == 30 and ds.d == 2
 
     def test_centers_separated(self):
         ds = synth_blobs(5, 10, 3, 8.0, 0.1, seed=3)
-        centers = np.array(ds.metadata["true_centers"])
+        # synth_blobs' first draws place the centers; row i is in blob i // 10
+        centers = dataset._place_centers(5, 3, 8.0, np.random.default_rng(3))
+        np.testing.assert_allclose(ds.features.reshape(5, 10, 3).mean(axis=1), centers, atol=0.2)
         for i in range(5):
             for j in range(i + 1, 5):
                 assert np.linalg.norm(centers[i] - centers[j]) >= 8.0
@@ -396,21 +394,17 @@ class TestSynthBlobs:
     def test_nearest_center_recovers_labels(self):
         # brute-force nearest-center assignment at separation/noise = 20
         ds = synth_blobs(4, 50, 3, 20.0, 1.0, seed=5)
-        centers = np.array(ds.metadata["true_centers"])
-        true = np.array(ds.metadata["true_labels"])
+        centers = dataset._place_centers(4, 3, 20.0, np.random.default_rng(5))
+        true = np.arange(ds.n) // 50
         assigned = np.array(
             [np.argmin([np.linalg.norm(x - c) for c in centers]) for x in ds.features]
         )
         assert np.mean(assigned == true) >= 0.99
 
-    def test_take_drops_row_metadata(self):
-        # true_labels lists every row of the full set; a subset must not
-        # carry it misaligned with its own rows.
+    def test_take_keeps_the_row_ids_of_its_rows(self):
         ds = synth_blobs(3, 4, 2, 10.0, 0.5, seed=0)
         sub = ds.take([2, 0])
         assert sub.row_ids == ("2", "0")
-        assert sub.metadata == {}
-        assert len(ds.metadata["true_labels"]) == ds.n
 
     def test_deterministic(self):
         a = synth_blobs(3, 20, 2, 10.0, 0.5, seed=9)
@@ -503,11 +497,10 @@ class TestRequireFieldTypes:
 
 
 class TestCleaningPolicyJsonForms:
-    def test_list_and_policy_name(self):
-        policy = CleaningPolicy(feature_sentinels=[99, -99.0], row_policy="keep_rows")
+    def test_list_form(self):
+        policy = CleaningPolicy(feature_sentinels=[99, -99.0])
         assert policy.feature_sentinels == frozenset({99.0, -99.0})
         assert all(type(v) is float for v in policy.feature_sentinels)
-        assert policy.row_policy is RowPolicy.KEEP_ROWS
 
     @pytest.mark.parametrize("sentinels", ["99", 99, [99, "x"], [True]])
     def test_sentinels_must_be_a_list_of_numbers(self, sentinels):
@@ -518,7 +511,3 @@ class TestCleaningPolicyJsonForms:
     def test_non_finite_sentinel_refused(self, bad):
         with pytest.raises(ValueError, match="^feature_sentinels must be a finite number"):
             CleaningPolicy(feature_sentinels=[99.0, bad])
-
-    def test_unknown_row_policy(self):
-        with pytest.raises(ValueError, match="unknown row_policy 'drop'"):
-            CleaningPolicy(row_policy="drop")
