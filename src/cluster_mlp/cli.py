@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: cluster, pipeline, sweep, stability, synth, evaluate. Each takes
-a JSON config document (schema-validated, unknown keys rejected) plus a
-small set of override flags. Reports are JSON documents with a `header`
-section (timings, timestamp, config digest) and a `body` section that is
-byte-identical across reruns with the same config and seeds.
+a JSON config document of the keys it reads (schema-validated, any other
+key rejected) plus a small set of override flags. Reports are JSON
+documents with a `header` section (timings, timestamp, config digest) and
+a `body` section that is byte-identical across reruns with the same config
+and seeds.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -73,10 +74,16 @@ class RunFiles:
     target_column: str
     output: str
     id_column: str | None = None
-    model_output: str | None = None
 
     def __post_init__(self):
         require_field_types(self)
+
+
+@dataclass(frozen=True)
+class PipelineFiles(RunFiles):
+    """The pipeline's file keys: RunFiles' and where the trained model goes."""
+
+    model_output: str | None = None
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,8 @@ class SynthSpec:
 
     def __post_init__(self):
         require_field_types(self)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,8 @@ def _parse_section(doc: dict, cls, where: str, shared: set[str] = frozenset()):
     """Builds the config dataclass cls from the object doc, whose keys must
     be cls's fields or `shared` keys, which other parsers read from the same
     object. A field without a default must be present; the dataclass
-    checks the values."""
+    checks the values. An `output` or `model_output` path must name a file
+    in an existing directory, so a run cannot fail at its last step."""
     _object_section(doc, where)
     names = {f.name for f in fields(cls)}
     unknown = set(doc) - names - shared
@@ -150,9 +160,14 @@ def _parse_section(doc: dict, cls, where: str, shared: set[str] = frozenset()):
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: missing required key {f.name!r}")
     try:
-        return cls(**{key: value for key, value in doc.items() if key in names})
+        spec = cls(**{key: value for key, value in doc.items() if key in names})
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
+    for key in names & {"output", "model_output"}:
+        path = getattr(spec, key)
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ConfigError(f"{where}: {key} must name a file in an existing directory, got {path!r}")
+    return spec
 
 
 def _positive_ints(doc: dict, key: str) -> None:
@@ -189,29 +204,33 @@ def _parse_algorithm(doc: dict) -> tuple[Algorithm, object]:
     return algo, parsed[algo]
 
 
-# Top-level keys besides the RunFiles ones: those of every command, then
-# those of each command.
-PIPELINE_KEYS = {"schema_version", "split", "train", "cleaning", "validation_fraction", "validation_seed"}
+# The top-level keys each data command reads besides schema_version and
+# its file keys; any other key is refused.
 ALGORITHM_KEYS = {"algorithm", *(a.value for a in Algorithm)}
 COMMAND_KEYS = {
-    "cluster": ALGORITHM_KEYS,
-    "pipeline": ALGORITHM_KEYS,
-    "sweep": {"widths"},
-    "stability": ALGORITHM_KEYS | {"kmins"},
+    "cluster": {"split", "cleaning", *ALGORITHM_KEYS},
+    "pipeline": {"split", "cleaning", *ALGORITHM_KEYS, "train", "validation_fraction", "validation_seed"},
+    "sweep": {"split", "cleaning", "train", "widths"},
+    "stability": {"split", "cleaning", *ALGORITHM_KEYS, "kmins"},
 }
 
 
 def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, RunFiles]:
-    """The config of cluster, pipeline, sweep or stability. The sweep's
-    `widths` and the study's `kmins` are checked here and read from doc."""
-    files = _parse_section(doc, RunFiles, "config", PIPELINE_KEYS | COMMAND_KEYS[command])
-    split = _parse_section(doc.get("split", {}), SplitSpec, "split")
-    train_cfg = _parse_section(doc.get("train", {}), TrainConfig, "train")
-    cleaning = _parse_section(doc.get("cleaning", {}), CleaningPolicy, "cleaning")
+    """The config of cluster, pipeline, sweep or stability, with PipelineFiles
+    for pipeline. A section is parsed only for a command that reads it. The
+    sweep's `widths` and the study's `kmins` are checked here and read from
+    doc."""
+    keys = COMMAND_KEYS[command]
+    files_cls = PipelineFiles if command == "pipeline" else RunFiles
+    files = _parse_section(doc, files_cls, "config", keys | {"schema_version"})
+    sections = {"split": _parse_section(doc.get("split", {}), SplitSpec, "split")}
+    if "train" in keys:
+        sections["train_cfg"] = _parse_section(doc.get("train", {}), TrainConfig, "train")
+    sections["cleaning"] = _parse_section(doc.get("cleaning", {}), CleaningPolicy, "cleaning")
 
     if command == "sweep":
         _positive_ints(doc, "widths")
-        return PipelineConfig(split=split, train_cfg=train_cfg, cleaning=cleaning), files
+        return PipelineConfig(**sections), files
 
     algo, algo_cfg = _parse_algorithm(doc)
     if command == "stability":
@@ -221,13 +240,7 @@ def _parse_pipeline_config(doc: dict, command: str) -> tuple[PipelineConfig, Run
 
     validation = {k: doc[k] for k in ("validation_fraction", "validation_seed") if k in doc}
     try:
-        cfg = PipelineConfig(
-            split=split,
-            train_cfg=train_cfg,
-            cleaning=cleaning,
-            **validation,
-            **{algo.value: algo_cfg},
-        )
+        cfg = PipelineConfig(**sections, **validation, **{algo.value: algo_cfg})
     except ValueError as e:
         raise ConfigError(f"config: {e}") from e
     return cfg, files
@@ -264,7 +277,8 @@ def _load_input(files: RunFiles) -> Dataset:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+def cmd_cluster(config_doc: dict) -> int:
+    cfg, files = _parse_pipeline_config(config_doc, "cluster")
     train_norm = constructor.prepare(_load_input(files), cfg.split, cfg.cleaning)[3]
     _, result, clustering_seconds = constructor.timed_clustering(train_norm, cfg)
 
@@ -284,7 +298,8 @@ def cmd_cluster(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+def cmd_pipeline(config_doc: dict) -> int:
+    cfg, files = _parse_pipeline_config(config_doc, "pipeline")
     ds = _load_input(files)
     report = constructor.run_pipeline(ds, cfg)
     if files.model_output:
@@ -325,7 +340,8 @@ def cmd_pipeline(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+def cmd_sweep(config_doc: dict) -> int:
+    cfg, files = _parse_pipeline_config(config_doc, "sweep")
     ds = _load_input(files)
     report = constructor.sweep_hidden(
         ds, config_doc["widths"], cfg.split, cfg.train_cfg, cleaning=cfg.cleaning
@@ -360,7 +376,8 @@ def cmd_sweep(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stability(config_doc: dict, files: RunFiles, cfg: PipelineConfig) -> int:
+def cmd_stability(config_doc: dict) -> int:
+    cfg, files = _parse_pipeline_config(config_doc, "stability")
     ds = _load_input(files)
     rows = constructor.kmin_stability(ds, config_doc["kmins"], cfg)
     body = {
@@ -427,26 +444,31 @@ def cmd_evaluate(config_doc: dict) -> int:
 # ---------------------------------------------------------------- driver
 
 
+# Each command: its handler, which parses the config document itself, its
+# help line, and the config key that --seed overrides (None: no --seed).
+COMMANDS = {
+    "cluster": (cmd_cluster, "run the configured clustering on the training split", "split.seed"),
+    "pipeline": (cmd_pipeline, "full run: clean, split, cluster, size, train, evaluate", "split.seed"),
+    "sweep": (cmd_sweep, "ad-hoc baseline: train one model per hidden width", "split.seed"),
+    "stability": (cmd_stability, "X-means cluster count vs kmin study", "split.seed"),
+    "synth": (cmd_synth, "generate a synthetic blob dataset as CSV", "seed"),
+    "evaluate": (cmd_evaluate, "metrics for a predictions CSV", None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cluster-mlp",
         description="Regression MLPs sized by non-parametric clustering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc, seeded in [
-        ("cluster", "run the configured clustering on the training split", "the split seed"),
-        ("pipeline", "full run: clean, split, cluster, size, train, evaluate", "the split seed"),
-        ("sweep", "ad-hoc baseline: train one model per hidden width", "the split seed"),
-        ("stability", "X-means cluster count vs kmin study", "the split seed"),
-        ("synth", "generate a synthetic blob dataset as CSV", "the blob seed"),
-        ("evaluate", "metrics for a predictions CSV", None),  # nothing to seed
-    ]:
+    for name, (_, doc, seed_key) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("config", help="path to the JSON config document")
         p.add_argument("--input", help="override the input path")
         p.add_argument("--output", help="override the output path")
-        if seeded:
-            p.add_argument("--seed", type=int, help=f"override {seeded}")
+        if seed_key:
+            p.add_argument("--seed", type=int, help=f"override the config's {seed_key}")
     return parser
 
 
@@ -458,24 +480,12 @@ def main(argv: list[str] | None = None) -> int:
             doc["input"] = args.input
         if args.output is not None:
             doc["output"] = args.output
-
-        if args.command == "evaluate":
-            return cmd_evaluate(doc)
-        if args.command == "synth":
-            if args.seed is not None:
-                doc["seed"] = args.seed
-            return cmd_synth(doc)
-        if args.seed is not None:
-            _object_section(doc.setdefault("split", {}), "split")["seed"] = args.seed
-
-        cfg, files = _parse_pipeline_config(doc, args.command)
-        handler = {
-            "cluster": cmd_cluster,
-            "pipeline": cmd_pipeline,
-            "sweep": cmd_sweep,
-            "stability": cmd_stability,
-        }[args.command]
-        return handler(doc, files, cfg)
+        handler, _, seed_key = COMMANDS[args.command]
+        if getattr(args, "seed", None) is not None:
+            section, _, key = seed_key.rpartition(".")
+            target = _object_section(doc.setdefault(section, {}), section) if section else doc
+            target[key] = args.seed
+        return handler(doc)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

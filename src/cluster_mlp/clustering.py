@@ -65,6 +65,8 @@ class XMeansConfig:
             raise ValueError("need 1 <= kmin <= kmax")
         if self.max_split_rounds < 1:
             raise ValueError("max_split_rounds must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

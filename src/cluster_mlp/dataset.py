@@ -165,10 +165,11 @@ def load_csv(path, target_column: str, id_column: str | None = None) -> Dataset:
     finite number; a DataError names the row and column of the first that
     does not, and names the file when it is not UTF-8 CSV text.
 
-    The header is read and checked once. A body of plain numeric cells with
-    no id column is parsed by numpy in one call; any other body, including
-    every malformed one, is read row by row, so the row reader alone words
-    the errors."""
+    The header is read and checked once; it must name each column once, so
+    a repeated target name cannot load as a feature. A body of plain
+    numeric cells with no id column is parsed by numpy in one call; any
+    other body, including every malformed one, is read row by row, so the
+    row reader alone words the errors."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
@@ -179,6 +180,9 @@ def load_csv(path, target_column: str, id_column: str | None = None) -> Dataset:
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: file is empty")
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            if repeated:
+                raise DataError(f"{path}: header names column {repeated[0]!r} more than once")
             if target_column not in header:
                 raise DataError(f"{path}: target column {target_column!r} not in header {header}")
             if id_column is not None and id_column not in header:

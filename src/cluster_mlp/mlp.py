@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("memory, max_iter, restarts must be positive")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
+        if self.init_scale_seed < 0:
+            raise ValueError("init_scale_seed must be non-negative")
 
 
 @dataclass(frozen=True)

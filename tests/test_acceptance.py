@@ -357,13 +357,13 @@ def test_criterion_10_determinism(tmp_path):
         "algorithm": "xmeans",
         "xmeans": {"kmin": 2, "kmax": 10, "seed": 0},
         "split": {"train_fraction": 0.7, "seed": 0},
-        "train": {"max_iter": 60},
     }
+    train = {"max_iter": 60}
     commands = {
         "cluster": dict(base),
-        "pipeline": dict(base, model_output=str(tmp_path / "model.json")),
+        "pipeline": dict(base, train=train, model_output=str(tmp_path / "model.json")),
         "sweep": {k: v for k, v in base.items() if k not in ("algorithm", "xmeans")}
-        | {"widths": [2, 3]},
+        | {"train": train, "widths": [2, 3]},
         "stability": dict(base, kmins=[2, 3]),
     }
     for name, doc in commands.items():

@@ -29,7 +29,8 @@ def write_config(tmp_path, name, doc):
     return path
 
 
-def pipeline_config(blob_csv, tmp_path, **extra):
+def pipeline_config(blob_csv, tmp_path, command="pipeline", **extra):
+    """A config of a data command; `train` only for the commands that read it."""
     doc = {
         "schema_version": 1,
         "input": str(blob_csv),
@@ -38,8 +39,9 @@ def pipeline_config(blob_csv, tmp_path, **extra):
         "algorithm": "xmeans",
         "xmeans": {"kmin": 2, "kmax": 20, "seed": 0},
         "split": {"train_fraction": 0.7, "seed": 0},
-        "train": {"max_iter": 60},
     }
+    if command in ("pipeline", "sweep"):
+        doc["train"] = {"max_iter": 60}
     doc.update(extra)
     return doc
 
@@ -50,18 +52,19 @@ def read_report(tmp_path):
 
 class TestCluster:
     def test_blob_k_recovered(self, blob_csv, tmp_path):
-        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path))
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path, command="cluster"))
         assert main(["cluster", str(cfg)]) == EXIT_OK
         rep = read_report(tmp_path)
         assert rep["body"]["k"] == 3
         assert sum(rep["body"]["cluster_sizes"]) == len(rep["body"]["labels"])
 
     def test_header_says_how_clustering_stopped(self, blob_csv, tmp_path):
-        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path))
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path, command="cluster"))
         assert main(["cluster", str(cfg)]) == EXIT_OK
         rep = read_report(tmp_path)
         assert rep["header"]["diagnostics"]["stopped_by"] == "gaussian"
-        doc = pipeline_config(blob_csv, tmp_path, algorithm="dbscan", dbscan={"eps": 3.0, "min_pts": 5})
+        dbscan = {"eps": 3.0, "min_pts": 5}
+        doc = pipeline_config(blob_csv, tmp_path, command="cluster", algorithm="dbscan", dbscan=dbscan)
         del doc["xmeans"]
         assert main(["cluster", str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
         rep = read_report(tmp_path)
@@ -69,7 +72,7 @@ class TestCluster:
 
     def test_header_counts_meanshift_budget_stops(self, blob_csv, tmp_path):
         meanshift = {"bandwidth": 0.5, "shift_tol": 1e-12, "max_iter": 3}
-        doc = pipeline_config(blob_csv, tmp_path, algorithm="meanshift", meanshift=meanshift)
+        doc = pipeline_config(blob_csv, tmp_path, command="cluster", algorithm="meanshift", meanshift=meanshift)
         del doc["xmeans"]
         assert main(["cluster", str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
         rep = read_report(tmp_path)
@@ -78,14 +81,14 @@ class TestCluster:
         assert not {"seed_steps", "max_iter_stops"} & set(rep["body"])
 
     def test_malformed_config_names_key(self, blob_csv, tmp_path, capsys):
-        doc = pipeline_config(blob_csv, tmp_path)
+        doc = pipeline_config(blob_csv, tmp_path, command="cluster")
         doc["bogus_key"] = 1
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["cluster", str(cfg)]) == EXIT_CONFIG
         assert "bogus_key" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, blob_csv, tmp_path):
-        doc = pipeline_config(blob_csv, tmp_path, input=str(tmp_path / "nope.csv"))
+        doc = pipeline_config(blob_csv, tmp_path, command="cluster", input=str(tmp_path / "nope.csv"))
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["cluster", str(cfg)]) == EXIT_DATA
 
@@ -95,12 +98,20 @@ class TestCluster:
         cells[1] = "inf"
         lines[5] = ",".join(cells)
         blob_csv.write_text("\n".join(lines) + "\n")
-        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path))
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path, command="cluster"))
         assert main(["cluster", str(cfg)]) == EXIT_DATA
         assert "row 6, column 'f1': non-finite value 'inf'" in capsys.readouterr().err
 
+    def test_column_named_twice_is_data_error(self, blob_csv, tmp_path, capsys):
+        lines = blob_csv.read_text().splitlines()
+        blob_csv.write_text("\n".join(f"{line},{line.rsplit(',', 1)[1]}" for line in lines) + "\n")
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path, command="cluster"))
+        assert main(["cluster", str(cfg)]) == EXIT_DATA
+        assert "header names column 'target' more than once" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_all_noise_dbscan_is_numerical_error(self, blob_csv, tmp_path):
-        doc = pipeline_config(blob_csv, tmp_path)
+        doc = pipeline_config(blob_csv, tmp_path, command="cluster")
         del doc["xmeans"]
         doc["algorithm"] = "dbscan"
         doc["dbscan"] = {"eps": 1e-9, "min_pts": 5}
@@ -108,7 +119,8 @@ class TestCluster:
         assert main(["cluster", str(cfg)]) == EXIT_NUMERICAL
 
     def test_all_noise_dbscan_names_the_clustering_stage(self, blob_csv, tmp_path, capsys):
-        doc = pipeline_config(blob_csv, tmp_path, algorithm="dbscan", dbscan={"eps": 1e-9, "min_pts": 5})
+        dbscan = {"eps": 1e-9, "min_pts": 5}
+        doc = pipeline_config(blob_csv, tmp_path, command="cluster", algorithm="dbscan", dbscan=dbscan)
         del doc["xmeans"]
         assert main(["cluster", str(write_config(tmp_path, "c.json", doc))]) == EXIT_NUMERICAL
         assert "pipeline stage 'clustering' failed: no clusters" in capsys.readouterr().err
@@ -213,13 +225,13 @@ class TestPipeline:
 
 class TestPathOverrides:
     def test_input_flag_replaces_the_config_input(self, blob_csv, tmp_path):
-        cfg = write_config(tmp_path, "c.json", pipeline_config(tmp_path / "absent.csv", tmp_path))
+        cfg = write_config(tmp_path, "c.json", pipeline_config(tmp_path / "absent.csv", tmp_path, command="cluster"))
         assert main(["cluster", str(cfg)]) == EXIT_DATA
         assert main(["cluster", str(cfg), "--input", str(blob_csv)]) == EXIT_OK
         assert read_report(tmp_path)["body"]["k"] == 3
 
     def test_output_flag_replaces_the_config_output(self, blob_csv, tmp_path):
-        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path))
+        cfg = write_config(tmp_path, "c.json", pipeline_config(blob_csv, tmp_path, command="cluster"))
         flagged = tmp_path / "flagged.json"
         assert main(["cluster", str(cfg), "--output", str(flagged)]) == EXIT_OK
         assert not (tmp_path / "report.json").exists()
@@ -297,7 +309,7 @@ class TestSweep:
 
 class TestStability:
     def test_rows_emitted_with_shared_seed(self, blob_csv, tmp_path):
-        doc = pipeline_config(blob_csv, tmp_path, kmins=[2, 3])
+        doc = pipeline_config(blob_csv, tmp_path, command="stability", kmins=[2, 3])
         cfg = write_config(tmp_path, "k.json", doc)
         assert main(["stability", str(cfg)]) == EXIT_OK
         body = read_report(tmp_path)["body"]
@@ -305,7 +317,7 @@ class TestStability:
         assert body["split_seed"] == 0
 
     def test_header_says_how_each_kmin_stopped(self, blob_csv, tmp_path, capsys):
-        doc = pipeline_config(blob_csv, tmp_path, kmins=[2, 3])
+        doc = pipeline_config(blob_csv, tmp_path, command="stability", kmins=[2, 3])
         assert main(["stability", str(write_config(tmp_path, "k.json", doc))]) == EXIT_OK
         header = read_report(tmp_path)["header"]
         assert header["diagnostics"] == {
@@ -315,18 +327,18 @@ class TestStability:
         assert "train_s" not in capsys.readouterr().out
 
     def test_empty_kmins_is_config_error(self, blob_csv, tmp_path):
-        doc = pipeline_config(blob_csv, tmp_path, kmins=[])
+        doc = pipeline_config(blob_csv, tmp_path, command="stability", kmins=[])
         cfg = write_config(tmp_path, "k.json", doc)
         assert main(["stability", str(cfg)]) == EXIT_CONFIG
 
     def test_boolean_kmin_is_config_error(self, blob_csv, tmp_path):
-        doc = pipeline_config(blob_csv, tmp_path, kmins=[2, True])
+        doc = pipeline_config(blob_csv, tmp_path, command="stability", kmins=[2, True])
         cfg = write_config(tmp_path, "k.json", doc)
         assert main(["stability", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "report.json").exists()
 
     def test_requires_xmeans(self, blob_csv, tmp_path):
-        doc = pipeline_config(blob_csv, tmp_path, kmins=[2])
+        doc = pipeline_config(blob_csv, tmp_path, command="stability", kmins=[2])
         del doc["xmeans"]
         doc["algorithm"] = "dbscan"
         doc["dbscan"] = {"eps": 1.0, "min_pts": 3}
@@ -363,7 +375,7 @@ class TestCleaningStage:
 
     @pytest.mark.parametrize("command", ["cluster", "pipeline", "sweep"])
     def test_no_labeled_rows_names_cleaning(self, unlabeled_csv, tmp_path, capsys, command):
-        doc = pipeline_config(unlabeled_csv, tmp_path)
+        doc = pipeline_config(unlabeled_csv, tmp_path, command=command)
         if command == "sweep":
             del doc["algorithm"], doc["xmeans"]
             doc["widths"] = [2]
@@ -474,6 +486,21 @@ def evaluate_config(tmp_path, **extra):
     return doc
 
 
+def runnable_config(blob_csv, tmp_path, command):
+    """A small config that `command` runs with exit 0."""
+    if command == "evaluate":
+        return evaluate_config(tmp_path)
+    if command == "synth":
+        return TestSynth().synth_doc(tmp_path)
+    doc = pipeline_config(blob_csv, tmp_path, command=command)
+    if command == "sweep":
+        del doc["algorithm"], doc["xmeans"]
+        doc["widths"] = [1]
+    if command == "stability":
+        doc["kmins"] = [2]
+    return doc
+
+
 @pytest.mark.parametrize("command", ["cluster", "pipeline", "evaluate"])
 @pytest.mark.parametrize("text", [b"a,z\xe9\n1,2\n3,4\n", b"a,z\n1,2\n3,4\xe9\n"], ids=["header", "body"])
 def test_non_utf8_csv_is_data_error(tmp_path, capsys, command, text):
@@ -482,7 +509,7 @@ def test_non_utf8_csv_is_data_error(tmp_path, capsys, command, text):
     if command == "evaluate":
         doc = evaluate_config(tmp_path, input=str(path), pred_column="a", actual_column="z")
     else:
-        doc = pipeline_config(path, tmp_path, target_column="z")
+        doc = pipeline_config(path, tmp_path, command=command, target_column="z")
     assert main([command, str(write_config(tmp_path, "c.json", doc))]) == EXIT_DATA
     assert f"data error: {path}: not readable as UTF-8 CSV" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
@@ -563,7 +590,7 @@ class TestConfigValidation:
         assert f"config error: {path}: not UTF-8 text" in capsys.readouterr().err
 
     def test_config_with_byte_order_mark(self, blob_csv, tmp_path):
-        doc = pipeline_config(blob_csv, tmp_path)
+        doc = pipeline_config(blob_csv, tmp_path, command="cluster")
         plain = write_config(tmp_path, "plain.json", doc)
         marked = tmp_path / "marked.json"
         marked.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
@@ -704,7 +731,8 @@ class TestConfigValidation:
     )
     @pytest.mark.parametrize("command", ["cluster", "pipeline"])
     def test_sections_of_other_algorithms_checked(self, blob_csv, tmp_path, capsys, command, sections, message):
-        doc = pipeline_config(blob_csv, tmp_path, algorithm="dbscan", dbscan={"eps": 3.0, "min_pts": 5})
+        dbscan = {"eps": 3.0, "min_pts": 5}
+        doc = pipeline_config(blob_csv, tmp_path, command=command, algorithm="dbscan", dbscan=dbscan)
         doc.update(sections)
         assert main([command, str(write_config(tmp_path, "c.json", doc))]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -748,6 +776,10 @@ BOUNDARY_CASES = [
     ("pipeline", None, "validation_fraction", -0.5),
     ("pipeline", None, "validation_fraction", 1),
     ("pipeline", None, "validation_fraction", 1.5),
+    ("pipeline", "xmeans", "seed", -1),
+    ("cluster", "xmeans", "seed", -1),
+    ("pipeline", "train", "init_scale_seed", -1),
+    ("synth", None, "seed", -1),
 ]
 
 
@@ -757,12 +789,7 @@ BOUNDARY_CASES = [
     ids=[f"{c}-{k}={v!r}" for c, _, k, v in BOUNDARY_CASES],
 )
 def test_typed_boundary_refuses(blob_csv, tmp_path, capsys, command, section, key, value):
-    if command == "evaluate":
-        doc = evaluate_config(tmp_path)
-    else:
-        doc = pipeline_config(blob_csv, tmp_path)
-    if command == "sweep":
-        del doc["algorithm"], doc["xmeans"]
+    doc = runnable_config(blob_csv, tmp_path, command)
     if section in ("dbscan", "meanshift"):
         del doc["xmeans"]
         doc["algorithm"] = section
@@ -771,21 +798,67 @@ def test_typed_boundary_refuses(blob_csv, tmp_path, capsys, command, section, ke
     cfg = write_config(tmp_path, "c.json", doc)
     assert main([command, str(cfg)]) == EXIT_CONFIG
     assert f"{section or 'config'}: {key} must be" in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
+    assert not Path(doc["output"]).exists()
+
+
+# Keys only the pipeline reads, each with a value it takes: every field of
+# `train`, as the one field of that section, and the top-level ones.
+PIPELINE_ONLY = [
+    *(("train", {f.name: getattr(mlp.TrainConfig(), f.name)}) for f in fields(mlp.TrainConfig)),
+    ("model_output", "model.json"),
+    ("validation_fraction", 0.2),
+    ("validation_seed", 1),
+]
+UNREAD_KEYS = [
+    (command, key, value)
+    for command in ("cluster", "sweep", "stability")
+    for key, value in PIPELINE_ONLY
+    if not (command == "sweep" and key == "train")  # the sweep trains
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value", UNREAD_KEYS, ids=[f"{c}-{k}={v!r}" for c, k, v in UNREAD_KEYS]
+)
+def test_key_a_command_does_not_read_is_refused(blob_csv, tmp_path, capsys, command, key, value):
+    # A config shared with the pipeline must drop what this command ignores.
+    doc = runnable_config(blob_csv, tmp_path, command)
+    doc[key] = str(tmp_path / value) if key == "model_output" else value
+    assert main([command, str(write_config(tmp_path, "c.json", doc))]) == EXIT_CONFIG
+    assert f"config error: config: unknown keys [{key!r}]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv", "c.json"]
+
+
+@pytest.mark.parametrize("path", ["missing/out.json", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "command, key", [(command, "output") for command in cli.COMMANDS] + [("pipeline", "model_output")]
+)
+def test_output_not_a_file_in_an_existing_directory_is_config_error(
+    blob_csv, tmp_path, capsys, monkeypatch, command, key, path
+):
+    # Refused before any data is read, so a run cannot fail at its last step.
+    loads = []
+    monkeypatch.setattr(cli, "load_csv", lambda *args: loads.append(args))
+    doc = runnable_config(blob_csv, tmp_path, command)
+    doc[key] = str(tmp_path / path)
+    cfg = write_config(tmp_path, "c.json", doc)
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    assert f"config error: config: {key} must name a file in an existing directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert loads == []
 
 
 # Every key the config parser accepts: per command, the top-level keys
 # ("config") and those of each section. A knob added or removed is a
 # one-line diff here.
-RUN_KEYS = [
-    "cleaning", "id_column", "input", "model_output", "output", "schema_version", "split",
-    "target_column", "train", "validation_fraction", "validation_seed",
-]
+RUN_KEYS = ["cleaning", "id_column", "input", "output", "schema_version", "split", "target_column"]
+PIPELINE_EXTRA_KEYS = ["model_output", "train", "validation_fraction", "validation_seed"]
 SECTION_KEYS = {
     "split": ["seed", "train_fraction"],
-    "train": ["grad_tol", "init_scale_seed", "lbfgs_memory", "max_iter", "restarts"],
     "cleaning": ["feature_sentinels", "target_missing_sentinel"],
 }
+TRAIN_KEYS = {"train": ["grad_tol", "init_scale_seed", "lbfgs_memory", "max_iter", "restarts"]}
 ALGORITHM_SECTION_KEYS = {
     "xmeans": ["kmax", "kmin", "max_split_rounds", "seed"],
     "dbscan": ["eps", "min_pts"],
@@ -794,8 +867,13 @@ ALGORITHM_SECTION_KEYS = {
 ALGORITHM_KEYS = ["algorithm", "dbscan", "meanshift", "xmeans"]
 CONFIG_KEYS = {
     "cluster": {"config": RUN_KEYS + ALGORITHM_KEYS, **SECTION_KEYS, **ALGORITHM_SECTION_KEYS},
-    "pipeline": {"config": RUN_KEYS + ALGORITHM_KEYS, **SECTION_KEYS, **ALGORITHM_SECTION_KEYS},
-    "sweep": {"config": RUN_KEYS + ["widths"], **SECTION_KEYS},
+    "pipeline": {
+        "config": RUN_KEYS + PIPELINE_EXTRA_KEYS + ALGORITHM_KEYS,
+        **SECTION_KEYS,
+        **TRAIN_KEYS,
+        **ALGORITHM_SECTION_KEYS,
+    },
+    "sweep": {"config": RUN_KEYS + ["train", "widths"], **SECTION_KEYS, **TRAIN_KEYS},
     "stability": {"config": RUN_KEYS + ALGORITHM_KEYS + ["kmins"], **SECTION_KEYS, **ALGORITHM_SECTION_KEYS},
     "synth": {
         "config": ["d", "k", "noise_std", "output", "per_cluster", "schema_version", "seed", "separation", "target_fn"]
@@ -817,19 +895,11 @@ def test_config_key_inventory(blob_csv, tmp_path, monkeypatch, command):
         return parse(doc, cls, where, shared)
 
     monkeypatch.setattr(cli, "_parse_section", recording)
-    if command == "synth":
-        doc = TestSynth().synth_doc(tmp_path)
-    elif command == "evaluate":
-        doc = evaluate_config(tmp_path)
-    else:
-        doc = pipeline_config(blob_csv, tmp_path, cleaning={})
-        if command == "sweep":
-            del doc["algorithm"], doc["xmeans"]
-            doc["widths"] = [1]
-        else:
-            doc.update(dbscan={"eps": 0.5, "min_pts": 3}, meanshift={"bandwidth": 0.5})
-        if command == "stability":
-            doc["kmins"] = [2]
+    doc = runnable_config(blob_csv, tmp_path, command)
+    if command in cli.COMMAND_KEYS:
+        doc["cleaning"] = {}
+    if "algorithm" in doc:
+        doc.update(dbscan={"eps": 0.5, "min_pts": 3}, meanshift={"bandwidth": 0.5})
     assert main([command, str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
     assert accepted == {where: sorted(keys) for where, keys in CONFIG_KEYS[command].items()}
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_mlp import dataset
-from cluster_mlp.cli import EvaluateSpec, RunFiles, SynthSpec
+from cluster_mlp.cli import EvaluateSpec, PipelineFiles, RunFiles, SynthSpec
 from cluster_mlp.clustering import DbscanConfig, MeanShiftConfig, XMeansConfig
 from cluster_mlp.constructor import PipelineConfig
 from cluster_mlp.dataset import (
@@ -112,6 +112,16 @@ class TestLoadCsv:
         ds = load_csv(p, target_column="z")
         assert ds.feature_names == ("a",)
         assert ds.features.tolist() == [[2.0]] and ds.targets.tolist() == [1.0]
+
+    @pytest.mark.parametrize("id_column", [None, "id"], ids=["numpy", "row-reader"])
+    @pytest.mark.parametrize("header", ["id,z,a,z", "id,z,a,a"])
+    def test_column_named_twice_is_data_error(self, tmp_path, header, id_column):
+        # A second target column would otherwise load as a feature.
+        p = tmp_path / "f.csv"
+        p.write_text(f"{header}\n1,2,3,4\n5,6,7,8\n")
+        repeated = header.rsplit(",", 1)[1]
+        with pytest.raises(DataError, match=f"header names column '{repeated}' more than once"):
+            load_csv(p, target_column="z", id_column=id_column)
 
     def test_byte_order_mark_before_the_id_column(self, tmp_path):
         p = tmp_path / "bom.csv"
@@ -437,6 +447,7 @@ CONFIG_CLASSES = [
     (TrainConfig, {}),
     (PipelineConfig, {}),
     (RunFiles, {"input": "in.csv", "target_column": "y", "output": "out.json"}),
+    (PipelineFiles, {"input": "in.csv", "target_column": "y", "output": "out.json"}),
     (SynthSpec, {"k": 2, "per_cluster": 5, "d": 2, "separation": 10.0, "noise_std": 1.0, "output": "s.csv"}),
     (EvaluateSpec, {"input": "p.csv", "output": "out.json"}),
 ]
@@ -462,6 +473,10 @@ FLOAT_FIELDS = [
     for f in fields(cls)
     if f.type.split(" | ")[0] == "float"
     for bad in (float("nan"), float("inf"), -np.inf)
+]
+
+SEED_FIELDS = [
+    (cls, kwargs, f.name) for cls, kwargs in CONFIG_CLASSES for f in fields(cls) if f.name.endswith("seed")
 ]
 
 
@@ -490,6 +505,15 @@ class TestRequireFieldTypes:
         cfg = DbscanConfig(eps=1, min_pts=np.int64(3))
         assert type(cfg.eps) is float and cfg.eps == 1.0
         assert cfg.min_pts == 3
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, name",
+        SEED_FIELDS,
+        ids=[f"{cls.__name__}.{name}" for cls, _, name in SEED_FIELDS],
+    )
+    def test_negative_seed_names_the_field(self, cls, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            cls(**{**kwargs, name: -1})
 
     def test_integer_beyond_a_double_is_refused(self):
         with pytest.raises(ValueError, match="^grad_tol must be a number"):
