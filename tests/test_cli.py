@@ -118,6 +118,35 @@ class TestCluster:
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["cluster", str(cfg)]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize(
+        "ids, expected",
+        [
+            (None, ["5", "7", "2", "9", "4", "6", "11"]),
+            (
+                ["g0", "g1", "end\x00", "g3", "g4", "007", "g6", "gälaxy-β", "g8", "g9", "g10", "g11"],
+                ["007", "gälaxy-β", "end\x00", "g9", "g4", "g6", "g11"],
+            ),
+        ],
+    )
+    def test_row_ids_of_the_training_rows_in_split_order(self, tmp_path, ids, expected):
+        # Data row 3 is unlabeled and row 8 holds a feature sentinel, so the
+        # ten kept rows are 0-2, 4-7 and 9-11; the seed-0 split keeps 7 of them.
+        rows = [[float(i % 2) * 10 + 0.1 * i, 0.2 * i, float(i)] for i in range(12)]
+        rows[3][2] = -9.999
+        rows[8][0] = 99.0
+        lines = [",".join(f"{v:g}" for v in row) for row in rows]
+        header = "f0,f1,target"
+        if ids is not None:
+            header = "id," + header
+            lines = [f"{rid},{line}" for rid, line in zip(ids, lines)]
+        path = tmp_path / "ids.csv"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        doc = pipeline_config(path, tmp_path, command="cluster", xmeans={"kmin": 1, "kmax": 3, "seed": 0})
+        if ids is not None:
+            doc["id_column"] = "id"
+        assert main(["cluster", str(write_config(tmp_path, "c.json", doc))]) == EXIT_OK
+        assert read_report(tmp_path)["body"]["row_ids"] == expected
+
     def test_all_noise_dbscan_names_the_clustering_stage(self, blob_csv, tmp_path, capsys):
         dbscan = {"eps": 1e-9, "min_pts": 5}
         doc = pipeline_config(blob_csv, tmp_path, command="cluster", algorithm="dbscan", dbscan=dbscan)
