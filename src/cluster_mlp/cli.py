@@ -289,7 +289,7 @@ def cmd_cluster(config_doc: dict) -> int:
         "cluster_sizes": sizes.tolist(),
         "noise_points": int(np.sum(result.labels == -1)),
         "labels": result.labels.tolist(),
-        "row_ids": list(train_norm.row_ids),
+        "row_ids": [str(x) for x in train_norm.row_ids.tolist()],
     }
     header = _header(config_doc, {"clustering": clustering_seconds}) | {"diagnostics": result.diagnostics}
     _write_report(files.output, body, header)

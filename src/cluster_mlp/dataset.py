@@ -64,27 +64,40 @@ def require_field_types(cfg) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
+    """n rows of a regression set; the three arrays are read-only.
+
+    row_ids names each row. Loaded from a CSV with an id column, it holds
+    the stripped cells of that column as Python strings (dtype object, so
+    no character is dropped). Otherwise it holds each row's int64 position
+    among the data rows of its source, counting from 0. Cleaning and
+    splitting carry the ids of the rows they keep; the `cluster` command
+    writes str() of each."""
+
     features: np.ndarray  # (n, d)
     targets: np.ndarray  # (n,)
     feature_names: tuple[str, ...]
-    row_ids: tuple[str, ...]
+    row_ids: np.ndarray  # (n,)
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
         t = np.asarray(self.targets, dtype=float)
+        r = np.asarray(self.row_ids)
+        if r.dtype.kind == "U":  # a fixed-width str array drops trailing NULs
+            r = np.array(self.row_ids, dtype=object)
         if f.ndim != 2:
             raise DataError("features must be a 2-d matrix")
         if t.ndim != 1:
             raise DataError("targets must be 1-d")
         n = f.shape[0]
-        if t.shape[0] != n or len(self.row_ids) != n:
-            raise DataError("row count mismatch between features, targets, row_ids")
+        if t.shape[0] != n:
+            raise DataError("row count mismatch between features and targets")
+        if r.shape != (n,):
+            raise DataError(f"row_ids must be 1-d with one entry per row ({n}), got shape {r.shape}")
         if len(self.feature_names) != f.shape[1]:
             raise DataError("feature_names length does not match feature width")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "targets", t)
-        self.features.setflags(write=False)
-        self.targets.setflags(write=False)
+        for name, a in (("features", f), ("targets", t), ("row_ids", r)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -101,7 +114,7 @@ class Dataset:
             features=self.features[idx],
             targets=self.targets[idx],
             feature_names=self.feature_names,
-            row_ids=tuple(map(self.row_ids.__getitem__, idx.tolist())),
+            row_ids=self.row_ids[idx],
         )
 
 
@@ -196,7 +209,7 @@ def load_csv(path, target_column: str, id_column: str | None = None) -> Dataset:
             table = _numeric_body(fh, len(header)) if id_idx is None else None
             if table is not None:
                 features, targets = table.take(feat_idx, axis=1), np.ascontiguousarray(table[:, t_idx])
-                row_ids = tuple(map(str, range(table.shape[0])))
+                row_ids = np.arange(table.shape[0])
             else:
                 fh.seek(0)
                 next(reader)  # the header, checked above
@@ -230,10 +243,11 @@ def _numeric_body(fh, width: int) -> np.ndarray | None:
 def _read_rows(path: Path, reader, header: list[str], feat_idx: list[int], t_idx: int, id_idx: int | None):
     """The row-by-row body parse: (features, targets, row_ids). Handles id
     columns, quoted cells and every number float() accepts, and words every
-    load error."""
+    load error. Without an id column the ids are the data rows' positions,
+    as the numpy parse gives them: skipped blank lines are not counted."""
     rows: list[list[float]] = []
     targets: list[float] = []
-    row_ids: list[str] = []
+    ids: list[str] = []
     for lineno, record in enumerate(reader, start=2):
         if not any(cell.strip() for cell in record):
             continue  # an empty or all-blank line, such as trailing spaces
@@ -255,10 +269,12 @@ def _read_rows(path: Path, reader, header: list[str], feat_idx: list[int], t_idx
             parsed.append(value)
         rows.append(parsed[:-1])
         targets.append(parsed[-1])
-        row_ids.append(record[id_idx].strip() if id_idx is not None else str(len(row_ids)))
+        if id_idx is not None:
+            ids.append(record[id_idx].strip())
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows, dtype=float), np.array(targets, dtype=float), tuple(row_ids)
+    row_ids = np.array(ids, dtype=object) if id_idx is not None else np.arange(len(rows))
+    return np.array(rows, dtype=float), np.array(targets, dtype=float), row_ids
 
 
 def filter_labeled(ds: Dataset, policy: CleaningPolicy) -> Dataset:
@@ -375,7 +391,7 @@ def synth_blobs(
         features=features,
         targets=targets,
         feature_names=tuple(f"f{i}" for i in range(d)),
-        row_ids=tuple(str(i) for i in range(k * per_cluster)),
+        row_ids=np.arange(k * per_cluster),
     )
 
 

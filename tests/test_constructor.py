@@ -219,14 +219,14 @@ class TestPrepare:
         train, test, norm, train_norm = prepare(ds, SplitSpec(0.7, 0), CleaningPolicy())
         assert train.n + test.n == ds.n - 3
         assert not set(train.row_ids) & set(test.row_ids)
-        assert not {"0", "5", "7"} & set(train.row_ids + test.row_ids)
+        assert not {0, 5, 7} & set(train.row_ids.tolist() + test.row_ids.tolist())
         assert np.array_equal(norm.center, fit_normalization(train).center)
         assert norm.target_scale == fit_normalization(train).target_scale
         # the fourth value is the training part z-scored with that normalization
         want = apply_normalization(train, norm)
         assert np.array_equal(train_norm.features, want.features)
         assert np.array_equal(train_norm.targets, want.targets)
-        assert train_norm.row_ids == train.row_ids
+        assert np.array_equal(train_norm.row_ids, train.row_ids) and train_norm.row_ids.dtype == np.int64
 
     def test_split_failure_names_split(self):
         ds = with_sentinels(synth_blobs(1, 3, 2, 20.0, 1.0, seed=0), [0, 1], [])

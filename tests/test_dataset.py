@@ -34,8 +34,30 @@ def make_ds(features, targets):
         features=features,
         targets=np.asarray(targets, dtype=float),
         feature_names=tuple(f"f{i}" for i in range(features.shape[1])),
-        row_ids=tuple(str(i) for i in range(features.shape[0])),
+        row_ids=np.arange(features.shape[0]),
     )
+
+
+class TestDataset:
+    @pytest.mark.parametrize("row_ids", [np.arange(3).reshape(3, 1), np.int64(3), np.arange(2), ()])
+    def test_row_ids_not_one_per_row_is_data_error(self, row_ids):
+        with pytest.raises(DataError, match=r"row_ids must be 1-d with one entry per row \(3\)"):
+            Dataset(np.zeros((3, 1)), np.zeros(3), ("a",), row_ids)
+
+    def test_arrays_are_read_only(self):
+        ds = make_ds([[1.0], [2.0], [3.0]], [1, 2, 3])
+        for part in (ds, ds.take([2, 0])):
+            for a in (part.features, part.targets, part.row_ids):
+                assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.row_ids[0] = 5
+
+    def test_string_ids_kept_whole(self):
+        # A fixed-width numpy str array would drop the trailing NUL.
+        ds = Dataset(np.zeros((2, 1)), np.zeros(2), ("a",), ("id\x00", "007"))
+        assert ds.row_ids.dtype == object
+        assert ds.row_ids.tolist() == ["id\x00", "007"]
+        assert ds.take([1, 0]).row_ids.tolist() == ["007", "id\x00"]
 
 
 class TestLoadCsv:
@@ -98,7 +120,7 @@ class TestLoadCsv:
         p = tmp_path / "f.csv"
         p.write_text("id,a,z\ngal1,1,2\ngal2,3,4\n")
         ds = load_csv(p, target_column="z", id_column="id")
-        assert ds.row_ids == ("gal1", "gal2")
+        assert ds.row_ids.dtype == object and ds.row_ids.tolist() == ["gal1", "gal2"]
         assert ds.d == 1
 
     @pytest.mark.parametrize("text", ["\ufeffz,a\n1,2\n", "\ufeffa,z\n2,1\n"], ids=["target-first", "feature-first"])
@@ -127,7 +149,7 @@ class TestLoadCsv:
         p = tmp_path / "bom.csv"
         p.write_text("\ufeffid,a,z\ngal1,2,1\n", encoding="utf-8")
         ds = load_csv(p, target_column="z", id_column="id")
-        assert ds.row_ids == ("gal1",) and ds.feature_names == ("a",)
+        assert ds.row_ids.tolist() == ["gal1"] and ds.feature_names == ("a",)
         assert ds.features.tolist() == [[2.0]] and ds.targets.tolist() == [1.0]
 
 
@@ -143,7 +165,8 @@ def load_outcome(path, id_column):
         ds.targets.tobytes(),
         ds.targets.flags.c_contiguous,
         ds.feature_names,
-        ds.row_ids,
+        ds.row_ids.tolist(),
+        ds.row_ids.dtype,
     )
 
 
@@ -191,7 +214,13 @@ class TestLoadCsvPaths:
         assert took_numpy == numeric
         assert outcome == rows_outcome
 
-    @pytest.mark.parametrize("blank", ["   \n", "\t\n", " , ,\n"])
+    def test_row_reader_ids_are_data_row_positions(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text('a,z\n"1",2\n   \n3,4\n\n5,6\n')  # the quotes send it to the row reader
+        ids = load_csv(p, "z").row_ids
+        assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("blank",["   \n", "\t\n", " , ,\n"])
     @pytest.mark.parametrize("where", ["middle", "end"])
     def test_blank_line_skipped(self, tmp_path, blank, where):
         rows = ["a,b,z\n", "1,2,3\n", "4,5,6\n"]
@@ -223,13 +252,13 @@ class TestFilterLabeled:
         out = filter_labeled(ds, CleaningPolicy())
         assert out.n == 2
         assert list(out.targets) == [0.5, 0.7]
-        assert out.row_ids == ("0", "2")
+        assert out.row_ids.tolist() == [0, 2]
 
     def test_identity_without_sentinels(self):
         ds = make_ds([[1.0], [2.0]], [0.5, 0.7])
         out = filter_labeled(ds, CleaningPolicy())
         assert np.array_equal(out.features, ds.features)
-        assert out.row_ids == ds.row_ids
+        assert np.array_equal(out.row_ids, ds.row_ids) and out.row_ids.dtype == ds.row_ids.dtype
 
     def test_all_unlabeled_errors(self):
         ds = make_ds([[1.0], [2.0]], [-9.999, -9.999])
@@ -242,7 +271,7 @@ class TestCleanSentinels:
         ds = make_ds([[1.0, 2.0], [3.0, 99.0], [5.0, 6.0]], [1, 2, 3])
         out = clean_sentinels(ds, CleaningPolicy())
         assert out.n == 2
-        assert out.row_ids == ("0", "2")
+        assert out.row_ids.tolist() == [0, 2]
 
     def test_negative_sentinel(self):
         ds = make_ds([[-99.0], [1.0]], [1, 2])
@@ -292,7 +321,7 @@ class TestCleanSentinels:
         assert (a is None) == (b is None)
         if a is None:
             return
-        assert a.row_ids == b.row_ids
+        assert a.row_ids.tolist() == b.row_ids.tolist()
         assert np.array_equal(a.features, b.features)
 
 
@@ -311,7 +340,7 @@ class TestHoldoutSplit:
         ds = make_ds(np.arange(20).reshape(10, 2), np.arange(10))
         a = holdout_split(ds, SplitSpec(0.7, 5))
         b = holdout_split(ds, SplitSpec(0.7, 5))
-        assert a[0].row_ids == b[0].row_ids and a[1].row_ids == b[1].row_ids
+        assert a[0].row_ids.tolist() == b[0].row_ids.tolist() and a[1].row_ids.tolist() == b[1].row_ids.tolist()
 
     def test_too_small(self):
         ds = make_ds([[1.0]], [1.0])
@@ -322,8 +351,8 @@ class TestHoldoutSplit:
     def test_partition(self, n, seed):
         ds = make_ds(np.arange(n).reshape(n, 1), np.arange(n))
         train, test = holdout_split(ds, SplitSpec(0.7, seed))
-        assert sorted(train.row_ids + test.row_ids) == sorted(ds.row_ids)
-        assert set(train.row_ids).isdisjoint(test.row_ids)
+        assert sorted(train.row_ids.tolist() + test.row_ids.tolist()) == sorted(ds.row_ids.tolist())
+        assert set(train.row_ids.tolist()).isdisjoint(test.row_ids.tolist())
 
 
 class TestNormalization:
@@ -414,7 +443,7 @@ class TestSynthBlobs:
     def test_take_keeps_the_row_ids_of_its_rows(self):
         ds = synth_blobs(3, 4, 2, 10.0, 0.5, seed=0)
         sub = ds.take([2, 0])
-        assert sub.row_ids == ("2", "0")
+        assert sub.row_ids.dtype == np.int64 and sub.row_ids.tolist() == [2, 0]
 
     def test_deterministic(self):
         a = synth_blobs(3, 20, 2, 10.0, 0.5, seed=9)
