@@ -220,7 +220,7 @@ class TestLoadCsvPaths:
         ids = load_csv(p, "z").row_ids
         assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 2]
 
-    @pytest.mark.parametrize("blank",["   \n", "\t\n", " , ,\n"])
+    @pytest.mark.parametrize("blank", ["   \n", "\t\n", " , ,\n"])
     @pytest.mark.parametrize("where", ["middle", "end"])
     def test_blank_line_skipped(self, tmp_path, blank, where):
         rows = ["a,b,z\n", "1,2,3\n", "4,5,6\n"]
